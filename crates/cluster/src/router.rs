@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use datacell::frame::{self, WireFormat};
-use datacell::net::parse_row;
+use datacell::net::{decode_line, parse_row};
 use datacell::partition::Partitioner;
 use dcsql::ast::{CreateKind, Stmt};
 use dcserver::error::{Result, ServerError};
@@ -1986,31 +1986,28 @@ fn ingest_text(
 ) {
     let _ = sock.set_read_timeout(Some(POLL_INTERVAL));
     let mut reader = std::io::BufReader::new(sock);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     let mut batch = Relation::new(&entry.schema);
     let mut eof = false;
     while !eof {
         loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => {
-                    eof = true;
-                    break;
-                }
-                Ok(_) => {
-                    let trimmed = line.trim_end_matches(['\n', '\r']);
-                    if !trimmed.is_empty() {
-                        match parse_row(trimmed, &entry.schema) {
-                            Ok(row) => {
-                                if batch.append_row(&row).is_err() {
-                                    port.rejected.fetch_add(1, Ordering::AcqRel);
-                                }
-                            }
-                            Err(_) => {
-                                port.rejected.fetch_add(1, Ordering::AcqRel);
-                            }
-                        }
+            match reader.read_until(b'\n', &mut line) {
+                Ok(n) => {
+                    // n == 0 is EOF; a last line it cut short still counts
+                    let accepted = match decode_line(&line) {
+                        Some("") => true,
+                        Some(text) => parse_row(text, &entry.schema)
+                            .is_ok_and(|row| batch.append_row(&row).is_ok()),
+                        None => false,
+                    };
+                    if !accepted {
+                        port.rejected.fetch_add(1, Ordering::AcqRel);
                     }
                     line.clear();
+                    if n == 0 {
+                        eof = true;
+                        break;
+                    }
                     if batch.len() >= ROUTER_BATCH {
                         break;
                     }

@@ -778,3 +778,42 @@ fn distributed_trace_spans_metrics_history_and_health() {
     cluster_thread.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn router_text_ingest_keeps_a_utf8_character_split_across_reads() {
+    use std::io::Write;
+    let (addr, cluster_thread) = boot_cluster(2);
+    let mut c = ShardedClient::connect(addr).unwrap();
+    c.create_sharded_stream("S", "(id int, s varchar)", "id", Some(2))
+        .unwrap();
+    let rport = c.attach_receptor("S", 0).unwrap();
+    let counts = |c: &mut ShardedClient, want: u64| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let stats = c.stats_report().unwrap();
+            let r = stats.receptors.iter().find(|r| r.stream == "S").unwrap();
+            if r.accepted >= want || std::time::Instant::now() > deadline {
+                return (r.accepted, r.rejected);
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    };
+
+    // 'é' is C3 A9; the pause outlasts the router's read timeout
+    let mut raw = std::net::TcpStream::connect((addr.ip(), rport)).unwrap();
+    raw.write_all(b"1|plain\n2|caf\xC3").unwrap();
+    raw.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    raw.write_all(b"\xA9\n3|after\n").unwrap();
+    raw.flush().unwrap();
+    assert_eq!(counts(&mut c, 3), (3, 0));
+    raw.write_all(b"4|\xFF\n5|ok\n").unwrap();
+    raw.flush().unwrap();
+    assert_eq!(counts(&mut c, 4), (4, 1));
+    let stats = c.stats_report().unwrap();
+    assert_eq!(stats.basket("S").unwrap().total_in, 4, "{stats:?}");
+
+    drop(raw);
+    c.shutdown().unwrap();
+    cluster_thread.join().unwrap();
+}

@@ -66,26 +66,36 @@ pub const DEFAULT_COMPACT_THRESHOLD: usize = 1024;
 
 /// The lock-protected contents.
 ///
-/// Deletes are *logical*: consumption marks rows in a deleted-bitmap
-/// instead of eagerly rewriting every column, and the physical store is
-/// compacted lazily once enough rows are dead (the bounded-memory,
-/// compact-lazily discipline). Physical row positions therefore stay
-/// stable across marks, which is what lets a firing record consumption
-/// positions against a snapshot taken earlier — guarded by the
-/// generation counters below.
+/// The live view is `rel ++ tail`. Appends land in `rel` in place unless
+/// a snapshot still shares one of its columns; then they go to the
+/// private `tail`, so the snapshot's columns are never copied. Positional
+/// operations (snapshots, drains, seals, non-prefix deletes, compaction)
+/// fold the tail into the store first.
+///
+/// Consuming a prefix of the live view — the common "whole batch
+/// referenced" firing — drops those rows directly. Any other consumption
+/// is *logical*: it marks rows in a deleted-bitmap instead of eagerly
+/// rewriting every column, and the physical store is compacted lazily
+/// once enough rows are dead (the bounded-memory, compact-lazily
+/// discipline). Physical row positions therefore stay stable across
+/// marks, which is what lets a firing record consumption positions
+/// against a snapshot taken earlier — guarded by the generation counters
+/// below.
 #[derive(Debug)]
 pub struct BasketInner {
     /// Physical store; may contain logically-deleted rows.
     rel: Relation,
+    /// Rows appended while a snapshot shared `rel`; always clean.
+    tail: Relation,
     /// Bit `i` set ⇒ physical row `i` is logically deleted. `None` ⇔ clean.
     deleted: Option<Bitset>,
     deleted_count: usize,
-    /// Bumped whenever live-row numbering could have changed: logical
-    /// marks, compaction, drains. A firing that snapshotted at generation
-    /// `g` may apply its consumption positions only while `delete_gen`
-    /// still reads `g`. Appends need no counter — they extend the store
-    /// without renumbering existing rows, so snapshot positions survive
-    /// them.
+    /// Bumped whenever live-row numbering could have changed: deletes,
+    /// compaction, drains. A firing that snapshotted at generation `g`
+    /// may apply its consumption positions only while `delete_gen` still
+    /// reads `g`. Appends and tail folds need no counter — they extend
+    /// the live view without renumbering existing rows, so snapshot
+    /// positions survive them.
     delete_gen: u64,
     /// Lifetime count of physical compactions.
     compactions: u64,
@@ -97,16 +107,21 @@ pub struct BasketInner {
 }
 
 impl BasketInner {
-    /// The physical store (under the basket lock). May contain
-    /// logically-deleted rows — use [`BasketInner::live_snapshot`] for the
-    /// visible contents.
-    pub fn relation(&self) -> &Relation {
-        &self.rel
+    fn new(schema: &Schema) -> Self {
+        BasketInner {
+            rel: Relation::new(schema),
+            tail: Relation::new(schema),
+            deleted: None,
+            deleted_count: 0,
+            delete_gen: 0,
+            compactions: 0,
+            live_cache: None,
+        }
     }
 
     /// Buffered (live) tuples.
     pub fn live_len(&self) -> usize {
-        self.rel.len() - self.deleted_count
+        self.rel.len() - self.deleted_count + self.tail.len()
     }
 
     /// Logically-deleted rows awaiting compaction.
@@ -128,6 +143,7 @@ impl BasketInner {
     /// otherwise — memoized, so only the first snapshot after a mutation
     /// pays the gather.
     pub fn live_snapshot(&mut self) -> Relation {
+        self.fold_tail();
         let Some(live) = self.live_sel() else {
             return self.rel.clone();
         };
@@ -158,6 +174,7 @@ impl BasketInner {
         let Some(wanted) = wanted else {
             return self.live_snapshot();
         };
+        self.fold_tail();
         if self.rel.width() == 0 || wanted.len() >= self.rel.width() {
             // possibly everything wanted — the full snapshot is memoized
             // and costs the same or less than re-filtering
@@ -255,11 +272,69 @@ impl BasketInner {
         }
     }
 
-    /// Keep the deleted-bitmap aligned after `appended` new rows.
-    fn note_append(&mut self, appended: usize) {
-        if let Some(d) = &mut self.deleted {
-            d.extend_filled(appended, false);
+    /// Whether a snapshot still shares any column of the store.
+    fn store_shared(&self) -> bool {
+        (0..self.rel.width()).any(|i| self.rel.col_at(i).is_shared())
+    }
+
+    /// Append a schema-compatible batch to the live view: in place when
+    /// nothing shares the store, otherwise to the private tail.
+    fn append(&mut self, batch: &Relation) -> Result<()> {
+        if self.tail.is_empty() && !self.store_shared() {
+            self.rel.append_relation(batch)?;
+            if let Some(d) = &mut self.deleted {
+                d.extend_filled(batch.len(), false);
+            }
+        } else {
+            self.tail.append_relation(batch)?;
         }
+        Ok(())
+    }
+
+    /// Take the tail's rows, leaving a fresh empty tail (so no spent
+    /// allocation lingers there).
+    fn take_tail(&mut self) -> Relation {
+        let empty = Relation::new(&self.tail.schema());
+        std::mem::replace(&mut self.tail, empty)
+    }
+
+    /// Move the tail's rows to the end of the store. The live view and
+    /// its numbering are unchanged, so `delete_gen` stays put.
+    fn fold_tail(&mut self) {
+        if self.tail.is_empty() {
+            return;
+        }
+        let tail = self.take_tail();
+        self.rel
+            .append_relation(&tail)
+            .expect("the tail shares the store's schema");
+        if let Some(d) = &mut self.deleted {
+            d.extend_filled(tail.len(), false);
+        }
+    }
+
+    /// Drop the first `k` live rows of a clean store without a bitmap or
+    /// compaction. When `k` covers the store exactly, the tail becomes
+    /// the store and no row moves.
+    fn drop_prefix(&mut self, k: usize) {
+        debug_assert!(self.deleted.is_none());
+        if k > self.rel.len() {
+            self.fold_tail();
+        }
+        if k < self.rel.len() {
+            let rest = SelVec::range(k as u32, self.rel.len() as u32);
+            let mut suffix = self
+                .rel
+                .gather(&rest)
+                .expect("suffix positions are in bounds by construction");
+            suffix
+                .append_relation(&self.take_tail())
+                .expect("the tail shares the store's schema");
+            self.rel = suffix;
+        } else {
+            self.rel = self.take_tail();
+        }
+        self.live_cache = None;
     }
 
     /// Physically drop the marked rows and reset the bitmap.
@@ -268,6 +343,7 @@ impl BasketInner {
         let Some(deleted) = self.deleted.take() else {
             return;
         };
+        self.fold_tail();
         if self.deleted_count == self.rel.len() {
             self.rel.clear();
         } else {
@@ -342,14 +418,7 @@ impl Basket {
             pending_cap: AtomicUsize::new(0),
             compact_threshold: AtomicUsize::new(DEFAULT_COMPACT_THRESHOLD),
             constraints: Mutex::new(Vec::new()),
-            inner: Mutex::new(BasketInner {
-                rel: Relation::new(&full),
-                deleted: None,
-                deleted_count: 0,
-                delete_gen: 0,
-                compactions: 0,
-                live_cache: None,
-            }),
+            inner: Mutex::new(BasketInner::new(&full)),
             stats: BasketStats::default(),
             probe: OnceLock::new(),
             persist: OnceLock::new(),
@@ -603,8 +672,7 @@ impl Basket {
         if n > 0 {
             let mut inner = self.inner.lock();
             self.log_accepted(&accepted, uniform_ts)?;
-            inner.rel.append_relation(&accepted)?;
-            inner.note_append(n);
+            inner.append(&accepted)?;
             self.stats.total_in.fetch_add(n as u64, Ordering::Relaxed);
             self.note_high_water(inner.live_len());
             if let Some(p) = self.probe() {
@@ -627,8 +695,7 @@ impl Basket {
         let n = accepted.len();
         if n > 0 {
             self.log_accepted(&accepted, uniform_ts)?;
-            inner.rel.append_relation(&accepted)?;
-            inner.note_append(n);
+            inner.append(&accepted)?;
             self.stats.total_in.fetch_add(n as u64, Ordering::Relaxed);
             self.note_high_water(inner.live_len());
             if let Some(p) = self.probe() {
@@ -683,8 +750,7 @@ impl Basket {
             let mut inner = self.inner.lock();
             self.log_accepted(&accepted, uniform_ts)?;
             // positional compatibility was just validated
-            inner.rel.append_relation(&accepted)?;
-            inner.note_append(n);
+            inner.append(&accepted)?;
             self.stats.total_in.fetch_add(n as u64, Ordering::Relaxed);
             self.note_high_water(inner.live_len());
             if let Some(p) = self.probe() {
@@ -792,9 +858,9 @@ impl Basket {
     /// Delete the given live-view positions (consumption after a basket
     /// expression). Positions index the relation [`Basket::snapshot`]
     /// returns; they stay valid as long as no other delete/drain runs
-    /// between snapshot and this call (appends are always safe). The
-    /// delete is logical — columns are rewritten only when the compaction
-    /// threshold trips.
+    /// between snapshot and this call (appends are always safe). A prefix
+    /// of a clean basket is dropped outright; any other delete is logical
+    /// — columns are rewritten only when the compaction threshold trips.
     pub fn delete_sel(&self, sel: &SelVec) -> Result<()> {
         let mut inner = self.inner.lock();
         self.delete_sel_locked(&mut inner, sel)
@@ -817,15 +883,16 @@ impl Basket {
         if let Some(p) = self.probe() {
             p.take_watermark(); // records dwell for the consumed batch(es)
         }
+        inner.delete_gen += 1;
+        let k = sel.len();
+        if inner.deleted.is_none() && sel.as_slice()[k - 1] as usize == k - 1 {
+            // a prefix of a clean basket (the common "whole batch
+            // referenced" firing): drop it, no bitmap needed
+            inner.drop_prefix(k);
+            return Ok(());
+        }
+        inner.fold_tail();
         match &mut inner.deleted {
-            None if sel.len() == inner.rel.len() => {
-                // consuming everything in a clean basket: release the
-                // storage wholesale, no bitmap needed (the common
-                // "whole batch referenced" firing)
-                inner.rel.clear();
-                inner.delete_gen += 1;
-                return Ok(());
-            }
             None => {
                 // clean basket: live positions ARE physical positions
                 let mut deleted = Bitset::filled(inner.rel.len(), false);
@@ -844,7 +911,6 @@ impl Basket {
                 inner.deleted_count += phys.len();
             }
         }
-        inner.delete_gen += 1;
         self.maybe_compact(inner);
         Ok(())
     }
@@ -852,6 +918,7 @@ impl Basket {
     /// Remove and return everything live (`basket.empty` in Algorithm 1).
     pub fn drain(&self) -> Relation {
         let mut inner = self.inner.lock();
+        inner.fold_tail();
         let n = inner.live_len();
         let full = match inner.live_sel() {
             None => {

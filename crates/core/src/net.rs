@@ -86,6 +86,16 @@ pub fn encode_batch_text(out: &mut String, rel: &Relation) {
     }
 }
 
+/// Decode one wire line read as raw bytes up to and including its `\n`.
+/// UTF-8 is checked only here, on a complete line, so a multi-byte
+/// character split across two socket reads is never seen in halves.
+/// `None` means the line is not valid UTF-8.
+pub fn decode_line(line: &[u8]) -> Option<&str> {
+    std::str::from_utf8(line)
+        .ok()
+        .map(|s| s.trim_end_matches(['\n', '\r']))
+}
+
 /// Parse one wire line against a schema (user columns only).
 pub fn parse_row(line: &str, schema: &Schema) -> Result<Vec<Value>> {
     let fields: Vec<&str> = line.split('|').collect();

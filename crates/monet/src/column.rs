@@ -69,6 +69,18 @@ impl ColumnData {
         }
     }
 
+    /// Append `other`'s payload (types must match).
+    fn extend_from(&mut self, other: &ColumnData) {
+        match (self, other) {
+            (ColumnData::Bool(a), ColumnData::Bool(b)) => a.extend_from_slice(b),
+            (ColumnData::Int(a), ColumnData::Int(b)) => a.extend_from_slice(b),
+            (ColumnData::Double(a), ColumnData::Double(b)) => a.extend_from_slice(b),
+            (ColumnData::Str(a), ColumnData::Str(b)) => a.extend_from_slice(b),
+            (ColumnData::Ts(a), ColumnData::Ts(b)) => a.extend_from_slice(b),
+            _ => unreachable!("callers check type equality"),
+        }
+    }
+
     fn clear(&mut self) {
         match self {
             ColumnData::Bool(v) => v.clear(),
@@ -206,6 +218,13 @@ impl Column {
     /// hook for the zero-copy snapshot tests and benches.
     pub fn shares_data(&self, other: &Column) -> bool {
         Arc::ptr_eq(&self.data, &other.data)
+    }
+
+    /// Whether a clone elsewhere still shares this column's payload or
+    /// mask, so that mutating it in place would have to copy first.
+    pub fn is_shared(&self) -> bool {
+        Arc::strong_count(&self.data) > 1
+            || self.validity.as_ref().is_some_and(|m| Arc::strong_count(m) > 1)
     }
 
     /// Exclusive handle to the payload; deep-copies first if shared.
@@ -448,13 +467,17 @@ impl Column {
                 Arc::make_mut(mask).extend_from(&om);
             }
         }
-        match (Arc::make_mut(&mut self.data), &*other.data) {
-            (ColumnData::Bool(a), ColumnData::Bool(b)) => a.extend_from_slice(b),
-            (ColumnData::Int(a), ColumnData::Int(b)) => a.extend_from_slice(b),
-            (ColumnData::Double(a), ColumnData::Double(b)) => a.extend_from_slice(b),
-            (ColumnData::Str(a), ColumnData::Str(b)) => a.extend_from_slice(b),
-            (ColumnData::Ts(a), ColumnData::Ts(b)) => a.extend_from_slice(b),
-            _ => unreachable!("type equality checked above"),
+        match Arc::get_mut(&mut self.data) {
+            Some(data) => data.extend_from(&other.data),
+            None => {
+                // Shared payload: build one right-sized copy holding both
+                // sides, instead of cloning exact-size and then growing
+                // (which would copy the shared side twice).
+                let mut joined = ColumnData::with_capacity(self.vtype(), self.len() + other.len());
+                joined.extend_from(&self.data);
+                joined.extend_from(&other.data);
+                self.data = Arc::new(joined);
+            }
         }
         Ok(())
     }
@@ -652,6 +675,22 @@ mod tests {
 
         let s = Column::new(ValueType::Str);
         assert!(a.append(&s).is_err());
+    }
+
+    #[test]
+    fn append_onto_shared_payload_leaves_the_share_intact() {
+        let mut a = int_col(&[1, 2, 3]);
+        let snap = a.clone();
+        assert!(a.is_shared() && snap.is_shared());
+        a.append(&int_col(&[4, 5])).unwrap();
+        assert_eq!(a.ints().unwrap(), &[1, 2, 3, 4, 5]);
+        assert_eq!(snap.ints().unwrap(), &[1, 2, 3]);
+        assert!(!a.shares_data(&snap));
+        assert!(!a.is_shared() && !snap.is_shared());
+        match a.data() {
+            ColumnData::Int(v) => assert_eq!(v.capacity(), 5, "one right-sized copy"),
+            other => panic!("unexpected payload {other:?}"),
+        }
     }
 
     #[test]

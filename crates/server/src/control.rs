@@ -12,6 +12,8 @@ use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
+use datacell::net::decode_line;
+
 use crate::error::Result;
 use crate::protocol::{parse_command, Command, Response};
 use crate::runtime::ServerRuntime;
@@ -128,19 +130,22 @@ fn control_connection<S, D>(
     };
     let mut writer = std::io::BufWriter::new(write_half);
     let mut reader = BufReader::new(sock);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     loop {
         use std::io::BufRead;
-        match reader.read_line(&mut line) {
+        match reader.read_until(b'\n', &mut line) {
             Ok(0) => break, // client hung up
             Ok(_) => {
-                let request = line.trim().to_string();
+                let request = decode_line(&line).map(|r| r.trim().to_string());
                 line.clear();
-                if request.is_empty() {
-                    continue;
-                }
-                sessions.note_command(session);
-                let (response, end) = dispatch(&request);
+                let (response, end) = match request {
+                    Some(r) if r.is_empty() => continue,
+                    Some(r) => {
+                        sessions.note_command(session);
+                        dispatch(&r)
+                    }
+                    None => (Response::Err("request is not valid UTF-8".into()), false),
+                };
                 if response.write_to(&mut writer).is_err() {
                     break;
                 }

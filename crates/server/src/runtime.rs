@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use datacell::emitter::Emitter;
 use datacell::engine::{DataCell, QueryOptions};
 use datacell::frame::{decode_frame_traced, WireFormat};
-use datacell::net::parse_row;
+use datacell::net::{decode_line, parse_row};
 use datacell::scheduler::ThreadedScheduler;
 use monet::prelude::*;
 use parking_lot::Mutex;
@@ -1088,27 +1088,31 @@ fn receptor_connection_text(
     let clock = Arc::clone(rt.engine.clock());
     let _ = sock.set_read_timeout(Some(POLL_INTERVAL));
     let mut reader = std::io::BufReader::new(sock);
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     let mut batch: Vec<Vec<Value>> = Vec::new();
     let mut eof = false;
     while !eof {
         loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => {
-                    eof = true;
-                    break;
-                }
-                Ok(_) => {
-                    let trimmed = line.trim_end_matches(['\n', '\r']);
-                    if !trimmed.is_empty() {
-                        match parse_row(trimmed, &schema) {
+            match reader.read_until(b'\n', &mut line) {
+                Ok(n) => {
+                    // n == 0 is EOF; a last line it cut short still counts
+                    match decode_line(&line) {
+                        Some("") => {}
+                        Some(text) => match parse_row(text, &schema) {
                             Ok(row) => batch.push(row),
                             Err(_) => {
                                 port.rejected.fetch_add(1, Ordering::AcqRel);
                             }
+                        },
+                        None => {
+                            port.rejected.fetch_add(1, Ordering::AcqRel);
                         }
                     }
                     line.clear();
+                    if n == 0 {
+                        eof = true;
+                        break;
+                    }
                     if batch.len() >= RECEPTOR_BATCH {
                         break;
                     }
@@ -1118,8 +1122,8 @@ fn receptor_connection_text(
                         || e.kind() == std::io::ErrorKind::TimedOut =>
                 {
                     // idle: flush what we have, re-check the stop flag;
-                    // a partially read line stays in `line` for the next
-                    // read_line call to complete
+                    // the bytes of a partially read line stay in `line`
+                    // for the next read_until call to complete
                     if rt.is_stopping() {
                         eof = true;
                     }

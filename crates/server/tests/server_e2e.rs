@@ -741,3 +741,80 @@ fn detach_closes_ports_and_stops_counting_them() {
     c.shutdown().unwrap();
     server_thread.join().unwrap();
 }
+
+/// Poll STATS until the receptor on `stream` has accepted `want` rows
+/// (or a deadline passes); returns its `(accepted, rejected)`.
+fn receptor_counts(c: &mut Client, stream: &str, want: u64) -> (u64, u64) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = c.stats_report().unwrap();
+        let r = stats.receptors.iter().find(|r| r.stream == stream).unwrap();
+        if r.accepted >= want || std::time::Instant::now() > deadline {
+            return (r.accepted, r.rejected);
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+#[test]
+fn text_receptor_keeps_a_utf8_character_split_across_reads() {
+    use std::io::Write;
+    let (addr, server_thread) = boot();
+    let mut c = Client::connect(addr).unwrap();
+    c.create_stream("S", "(id int, s varchar)").unwrap();
+    let rport = c.attach_receptor("S", 0).unwrap();
+
+    // 'é' is C3 A9; the pause outlasts the receptor's read timeout, so
+    // the two halves arrive in separate reads
+    let mut raw = std::net::TcpStream::connect((addr.ip(), rport)).unwrap();
+    raw.write_all(b"1|plain\n2|caf\xC3").unwrap();
+    raw.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    raw.write_all(b"\xA9\n3|after\n").unwrap();
+    raw.flush().unwrap();
+    assert_eq!(receptor_counts(&mut c, "S", 3), (3, 0));
+    let body = c.exec("select id, s from S").unwrap();
+    assert_eq!(body, vec!["# id|s", "1|plain", "2|café", "3|after"]);
+
+    // a line that is not UTF-8 is a counted rejection, and the
+    // connection keeps serving the lines behind it
+    raw.write_all(b"4|\xFF\n5|ok\n").unwrap();
+    raw.flush().unwrap();
+    assert_eq!(receptor_counts(&mut c, "S", 4), (4, 1));
+
+    drop(raw);
+    c.shutdown().unwrap();
+    server_thread.join().unwrap();
+}
+
+#[test]
+fn control_plane_keeps_a_utf8_character_split_across_reads() {
+    use std::io::{BufRead, BufReader, Write};
+    let (addr, server_thread) = boot();
+    let mut c = Client::connect(addr).unwrap();
+    c.create_table("T", "(a int, b varchar)").unwrap();
+    c.exec("insert into T values (1, 'café'), (2, 'cafe')").unwrap();
+
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut replies = BufReader::new(raw.try_clone().unwrap());
+    let mut reply = || {
+        let mut line = String::new();
+        replies.read_line(&mut line).unwrap();
+        line.trim_end().to_string()
+    };
+    raw.write_all(b"EXEC select a from T where b = 'caf\xC3").unwrap();
+    raw.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    raw.write_all(b"\xA9'\n").unwrap();
+    assert_eq!([reply(), reply(), reply()], ["OK 2", "# a", "1"]);
+
+    // an invalid request gets an error reply, not a dropped session
+    raw.write_all(b"PING \xFF\nPING\n").unwrap();
+    assert!(reply().starts_with("ERR "));
+    assert_eq!([reply(), reply()], ["OK 1", "pong"]);
+
+    drop(raw);
+    c.shutdown().unwrap();
+    server_thread.join().unwrap();
+}

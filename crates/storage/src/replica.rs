@@ -231,14 +231,19 @@ impl Store {
         let bytes = std::fs::read(st.wal.path())?;
         let tail = &bytes[from as usize..wal_bytes as usize];
         let replay = scan_records(tail);
+        // the chunk is the longest record-aligned prefix under the cap
+        // (at least one record); every record after the first that does
+        // not fit is pending, however small, or the prefix would skip it
         let mut take = 0usize;
         let mut pending_rows = 0u64;
+        let mut full = false;
         for rec in &replay.records {
             let framed = RECORD_HEADER + rec.len();
-            if take + framed <= WAL_CHUNK_MAX || take == 0 {
-                take += framed;
-            } else {
+            full = full || (take > 0 && take + framed > WAL_CHUNK_MAX);
+            if full {
                 pending_rows += record_rows(rec);
+            } else {
+                take += framed;
             }
         }
         Ok(ExportChunk {
@@ -585,6 +590,50 @@ mod tests {
                 break;
             }
         }
+        assert_eq!(
+            follower.replica_status("S").unwrap(),
+            primary.replica_status("S").unwrap()
+        );
+    }
+
+    #[test]
+    fn export_chunk_stops_at_the_first_record_that_does_not_fit() {
+        let proot = tmp("align-p");
+        let froot = tmp("align-f");
+        let engine = DataCell::new();
+        let primary = open(&proot);
+        engine.set_durability(primary.clone());
+        engine.create_stream_persistent("S", &user_schema()).unwrap();
+        let batch = |lo: i64, n: i64| -> Vec<Vec<Value>> {
+            (lo..lo + n).map(|i| vec![Value::Int(i), Value::Int(i)]).collect()
+        };
+        let wal_bytes = || primary.replica_status("S").unwrap().wal_bytes as usize;
+        // a small record, sized to learn the framed bytes per row
+        engine.ingest("S", &batch(0, 1000)).unwrap();
+        let first = wal_bytes();
+        let big = (WAL_CHUNK_MAX * 6 / 10 / (first / 1000)) as i64;
+        // two records of ~0.6 cap each: the second does not fit after the
+        // first, but the small record behind it would
+        engine.ingest("S", &batch(1000, big)).unwrap();
+        let aligned = wal_bytes();
+        engine.ingest("S", &batch(1000 + big, big)).unwrap();
+        let straddling = wal_bytes();
+        engine.ingest("S", &batch(1000 + 2 * big, 100)).unwrap();
+        let small = wal_bytes() - straddling;
+        assert!(aligned <= WAL_CHUNK_MAX && straddling > WAL_CHUNK_MAX);
+        assert!(aligned + small <= WAL_CHUNK_MAX, "the small record alone would fit");
+
+        let chunk = primary.export_since("S", 0, 0, 0).unwrap();
+        assert_eq!(chunk.wal_data.len(), aligned, "the chunk ends on a record boundary");
+        assert_eq!(chunk.pending_rows, big as u64 + 100, "pending counts every later record");
+        // the follower accepts the chunk, and the next round ships the rest
+        let follower = open(&froot);
+        follower.open_replica("S", &user_schema()).unwrap();
+        follower
+            .apply_wal("S", chunk.epoch, chunk.wal_from, &chunk.wal_data)
+            .unwrap();
+        let rest = ship_once(&primary, &follower, "S");
+        assert_eq!(rest.pending_rows, 0);
         assert_eq!(
             follower.replica_status("S").unwrap(),
             primary.replica_status("S").unwrap()
