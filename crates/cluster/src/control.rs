@@ -134,6 +134,7 @@ fn dispatch(rt: &Arc<ClusterRuntime>, request: &str) -> (Response, bool) {
             .map(|b| (Response::Ok(b), false)),
         Command::ReplOpen { .. }
         | Command::ReplExport { .. }
+        | Command::ReplPart { .. }
         | Command::ReplSegment { .. }
         | Command::ReplWal { .. }
         | Command::ReplPromote => Ok((

@@ -88,6 +88,7 @@ impl ClusterRuntime {
     /// per-shard stall flags. Public so tests can drive replication
     /// deterministically instead of waiting out `repl_interval`.
     pub fn pump_replication_now(&self) {
+        let _tick = self.repl_tick.lock();
         let entries: Vec<Arc<StreamEntry>> = self
             .streams
             .lock()

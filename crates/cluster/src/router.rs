@@ -19,7 +19,7 @@
 //! so a shard is just a `datacelld` — in this process or on another host.
 
 use std::collections::HashMap;
-use std::io::{BufRead, Read, Write};
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use datacell::frame::{self, WireFormat};
-use datacell::net::{decode_line, parse_row};
+use datacell::net::{TextBatch, TextBatcher, POLL_INTERVAL};
 use datacell::partition::Partitioner;
 use dcsql::ast::{CreateKind, Stmt};
 use dcserver::error::{Result, ServerError};
@@ -41,12 +41,8 @@ use parking_lot::{Mutex, RwLock};
 use crate::engines::{ControlPolicy, ShardEngine, ShardSpec};
 use crate::relay::FrameRelay;
 
-/// How long blocking reads/accepts wait before re-checking the stop flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
 /// Upper bound on a subscriber socket write.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
-/// Text-ingest batching: split + forward after this many buffered rows.
-const ROUTER_BATCH: usize = 4096;
 /// Batches a shard forwarder queues before the splitter backs off —
 /// backpressure from a slow shard propagates to the sender's socket.
 const FORWARD_QUEUE_CAP: usize = 64;
@@ -264,6 +260,9 @@ pub struct ClusterRuntime {
     /// Replication pump bookkeeping (per stream × shard cursors and
     /// stall tracking) — see `crate::repl`.
     pub(crate) repl: Mutex<crate::repl::ReplState>,
+    /// Held for a whole replication pump tick: a follower stages
+    /// `REPL PART` pieces per stream, so two ticks must not interleave.
+    pub(crate) repl_tick: Mutex<()>,
     /// Bounded ring of periodic cluster-wide `METRICS` snapshots
     /// (`METRICS HISTORY`, windowed gauges). Populated by the router's
     /// snapshotter thread; empty when telemetry is disabled.
@@ -340,6 +339,7 @@ impl ClusterRuntime {
             telemetry,
             history,
             repl: Mutex::new(crate::repl::ReplState::default()),
+            repl_tick: Mutex::new(()),
             sessions: SessionManager::new(),
             streams: Mutex::new(HashMap::new()),
             queries: Mutex::new(HashMap::new()),
@@ -1976,7 +1976,9 @@ fn ingest_connection(
     }
 }
 
-/// Text ingest: batch wire lines, then split columnar.
+/// Text ingest: split + forward each batch the shared [`TextBatcher`]
+/// hands over (full, or its first row [`POLL_INTERVAL`] old, or
+/// idle/EOF).
 fn ingest_text(
     rt: &ClusterRuntime,
     port: &ClusterReceptorPort,
@@ -1984,69 +1986,33 @@ fn ingest_text(
     txs: &[Forwarder],
     sock: TcpStream,
 ) {
-    let _ = sock.set_read_timeout(Some(POLL_INTERVAL));
-    let mut reader = std::io::BufReader::new(sock);
-    let mut line: Vec<u8> = Vec::new();
-    let mut batch = Relation::new(&entry.schema);
-    let mut eof = false;
-    while !eof {
-        loop {
-            match reader.read_until(b'\n', &mut line) {
-                Ok(n) => {
-                    // n == 0 is EOF; a last line it cut short still counts
-                    let accepted = match decode_line(&line) {
-                        Some("") => true,
-                        Some(text) => parse_row(text, &entry.schema)
-                            .is_ok_and(|row| batch.append_row(&row).is_ok()),
-                        None => false,
-                    };
-                    if !accepted {
-                        port.rejected.fetch_add(1, Ordering::AcqRel);
-                    }
-                    line.clear();
-                    if n == 0 {
-                        eof = true;
-                        break;
-                    }
-                    if batch.len() >= ROUTER_BATCH {
-                        break;
-                    }
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if rt.is_stopping() {
-                        eof = true;
-                    }
-                    break;
-                }
-                Err(_) => {
-                    eof = true;
-                    break;
-                }
-            }
+    let fill = rt
+        .telemetry
+        .histogram("dc_receptor_fill_micros", &[("stream", &port.stream)]);
+    let mut batcher = TextBatcher::new(sock, entry.schema.clone());
+    while let Some(TextBatch { rows, waited }) =
+        batcher.next_batch(&port.rejected, || rt.is_stopping())
+    {
+        if let Some(h) = &fill {
+            h.record(waited.as_micros() as u64);
         }
-        if !batch.is_empty() {
-            let full = std::mem::replace(&mut batch, Relation::new(&entry.schema));
-            // text clients carry no trace headers: the router is the
-            // sampling entry point for their batches
-            let trace = rt.telemetry.maybe_sample().map(|b| frame::TraceHeader {
-                batch: b,
-                origin_micros: dctrace::now_micros(),
-            });
-            if let Some(t) = &trace {
-                rt.telemetry.span(
-                    "receptor",
-                    t.batch,
-                    None,
-                    0,
-                    &format!("stream={} rows={}", port.stream, full.len()),
-                );
-            }
-            if !route_batch(rt, port, entry, txs, full, trace) {
-                break; // shard gone: drop the client connection
-            }
+        // text clients carry no trace headers: the router is the
+        // sampling entry point for their batches
+        let trace = rt.telemetry.maybe_sample().map(|b| frame::TraceHeader {
+            batch: b,
+            origin_micros: dctrace::now_micros(),
+        });
+        if let Some(t) = &trace {
+            rt.telemetry.span(
+                "receptor",
+                t.batch,
+                None,
+                0,
+                &format!("stream={} rows={}", port.stream, rows.len()),
+            );
+        }
+        if !route_batch(rt, port, entry, txs, rows, trace) {
+            break; // shard gone: drop the client connection
         }
         if rt.is_stopping() {
             break;

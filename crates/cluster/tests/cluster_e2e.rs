@@ -817,3 +817,63 @@ fn router_text_ingest_keeps_a_utf8_character_split_across_reads() {
     c.shutdown().unwrap();
     cluster_thread.join().unwrap();
 }
+
+#[test]
+fn router_text_trickle_reaches_the_subscriber_while_it_runs() {
+    use std::io::Write;
+    let (addr, cluster_thread) = boot_cluster(2);
+    let mut c = ShardedClient::connect(addr).unwrap();
+    c.create_sharded_stream("S", "(id int, v int)", "id", Some(2))
+        .unwrap();
+    c.register_query("all", "select id, v from [select * from S] as Z")
+        .unwrap();
+    let rport = c.attach_receptor("S", 0).unwrap();
+    let eport = c.attach_emitter("all", 0).unwrap();
+    let mut tap = c.open_emitter(eport).unwrap();
+    tap.set_timeout(Some(Duration::from_secs(10))).unwrap();
+
+    // one row every 2 ms for 600 ms: the router's read never times out,
+    // so only the batch deadline forwards rows before the sender stops
+    let data = SocketAddr::new(addr.ip(), rport);
+    let sender = std::thread::spawn(move || {
+        let mut sock = std::net::TcpStream::connect(data).unwrap();
+        let started = std::time::Instant::now();
+        let mut sent = Vec::new();
+        let mut id = 0i64;
+        while started.elapsed() < Duration::from_millis(600) {
+            sock.write_all(format!("{id}|{}\n", id * 3).as_bytes()).unwrap();
+            sent.push((id, id * 3));
+            id += 1;
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        (sent, std::time::Instant::now())
+    });
+    let schema = Schema::from_pairs(&[("id", ValueType::Int), ("v", ValueType::Int)]);
+    let pair = |row: Vec<Value>| match (&row[0], &row[1]) {
+        (Value::Int(id), Value::Int(v)) => (*id, *v),
+        other => panic!("unexpected row {other:?}"),
+    };
+    let first = tap.next_row(&schema).unwrap().expect("a result row");
+    let first_seen = std::time::Instant::now();
+    let (mut sent, sender_done) = sender.join().unwrap();
+    assert!(
+        first_seen < sender_done,
+        "no row reached the subscriber before the trickle ended"
+    );
+    let mut got = vec![pair(first)];
+    got.extend(tap.take_rows(&schema, sent.len() - 1).unwrap().into_iter().map(pair));
+    got.sort_unstable();
+    sent.sort_unstable();
+    assert_eq!(got, sent);
+
+    // the router times its own batch fill
+    let samples = dctrace::parse_exposition(&c.metrics().unwrap()).unwrap();
+    let fills = samples
+        .iter()
+        .find(|s| s.name == "dc_receptor_fill_micros_count" && s.labels.contains("stream=\"S\""))
+        .expect("router fill histogram in METRICS");
+    assert!(fills.value >= 1.0, "{fills:?}");
+
+    c.shutdown().unwrap();
+    cluster_thread.join().unwrap();
+}

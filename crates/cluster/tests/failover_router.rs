@@ -341,3 +341,75 @@ fn dead_follower_raises_replication_stalled_without_failover() {
 
     tc.finish(&mut c);
 }
+
+/// A sealed segment and a WAL tail each longer than one control-plane
+/// request line reach the follower byte-for-byte: the client ships them
+/// in `REPL PART` pieces rather than one over-long hex line.
+#[test]
+fn segment_and_wal_longer_than_a_request_line_replicate() {
+    let tc = TestCluster::boot(2, "big");
+    let mut c = ShardedClient::connect(tc.addr).unwrap();
+    c.request(&format!("CREATE STREAM S {SCHEMA} PERSIST SHARD BY (id)"))
+        .unwrap();
+    let rport = c.attach_receptor_fmt("S", 0, WireFormat::Binary).unwrap();
+    let schema = Schema::from_pairs(&[("id", ValueType::Int), ("v", ValueType::Int)]);
+    let mut sink = c
+        .open_receptor_with(rport, WireFormat::Binary, &schema)
+        .unwrap();
+    let landed = |c: &mut ShardedClient, want: u64| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while c.stats_report().unwrap().basket("S").map(|b| b.total_in) != Some(want) {
+            assert!(Instant::now() < deadline, "rows never landed");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    };
+    // no query consumes S: the first batch is sealed into one segment
+    // per shard, the second stays in the WAL
+    const N: i64 = 200_000;
+    sink.send_batch(&batch(0..N)).unwrap();
+    sink.flush().unwrap();
+    landed(&mut c, N as u64);
+    assert_eq!(c.flush_stream("S").unwrap(), N as u64);
+    sink.send_batch(&batch(N..2 * N)).unwrap();
+    sink.flush().unwrap();
+    landed(&mut c, 2 * N as u64);
+    tc.pump_until_synced(&mut c, "S");
+
+    let primary = tc.dir.join("shard-0").join("streams").join("S");
+    let replica = tc.dir.join("shard-0-replica").join("streams").join("S");
+    let segment = std::fs::read_dir(&primary)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .find(|e| e.file_name().to_string_lossy().ends_with(".dcs"))
+        .expect("shard 0 sealed a segment")
+        .file_name();
+    for file in [segment.as_os_str(), "wal.log".as_ref()] {
+        let shipped = std::fs::read(primary.join(file)).unwrap();
+        assert!(
+            2 * shipped.len() > datacell::net::MAX_LINE_LEN,
+            "{file:?} holds {} bytes, its hex fits on one line",
+            shipped.len()
+        );
+        let landed = std::fs::read(replica.join(file)).unwrap();
+        assert!(landed == shipped, "{file:?} differs on the replica");
+    }
+
+    // staged parts must continue where the last one ended, and a PARTS
+    // payload must name exactly the bytes staged
+    let follower = c.stats_report().unwrap().shards[0].follower.clone();
+    let mut f = Client::connect(follower.parse::<SocketAddr>().unwrap()).unwrap();
+    f.request("REPL PART S AT 0 0a0b").unwrap();
+    let err = f.request("REPL PART S AT 5 0c").expect_err("gap");
+    assert!(err.to_string().contains("2 bytes staged"), "{err}");
+    let err = f
+        .request("REPL SEGMENT S seg-999999.dcs 1 PARTS 3")
+        .expect_err("length mismatch");
+    assert!(err.to_string().contains("3 bytes, 2 staged"), "{err}");
+    let err = f
+        .request("REPL PART T AT 0 0a")
+        .expect_err("not a replica stream");
+    assert!(!err.to_string().is_empty());
+    drop(f);
+
+    tc.finish(&mut c);
+}

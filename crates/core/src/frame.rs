@@ -563,25 +563,16 @@ fn decode_payload(p: &[u8], schema: &Schema) -> Result<Relation> {
 // ---- the codec abstraction --------------------------------------------------
 
 /// One wire encoding of `Relation` batches. The text protocol (§3.1) and
-/// the binary frame format are the two implementations; receptors,
-/// emitters and clients are written against this trait so a session's
-/// negotiated format is one constructor argument, not a code path.
+/// the binary frame format are the two implementations; emitters encode
+/// through this trait so a session's negotiated format is one
+/// constructor argument, not a code path. Decoding is per format:
+/// [`net::TextBatcher`] for text, [`read_frame`] for binary.
 pub trait FrameCodec: Send {
     fn format(&self) -> WireFormat;
 
     /// Append one encoded frame carrying `rel` to `out`. Scratch space is
     /// owned by the codec, so repeated calls reuse allocations.
     fn encode(&mut self, rel: &Relation, out: &mut Vec<u8>) -> Result<()>;
-
-    /// Read the next batch, blocking until `max_rows` rows arrive (text),
-    /// a full frame arrives (binary), or the stream ends. `Ok(None)`
-    /// means clean end-of-stream.
-    fn read_batch(
-        &mut self,
-        r: &mut dyn BufRead,
-        schema: &Schema,
-        max_rows: usize,
-    ) -> Result<Option<Relation>>;
 }
 
 /// The §3.1 textual protocol as a [`FrameCodec`]. One frame = one line
@@ -602,22 +593,6 @@ impl FrameCodec for TextCodec {
         out.extend_from_slice(self.scratch.as_bytes());
         Ok(())
     }
-
-    fn read_batch(
-        &mut self,
-        mut r: &mut dyn BufRead,
-        schema: &Schema,
-        max_rows: usize,
-    ) -> Result<Option<Relation>> {
-        let rows = net::read_rows(&mut r, schema, max_rows)?;
-        if rows.is_empty() {
-            return Ok(None);
-        }
-        let mut rel = Relation::new(schema);
-        rel.append_rows(rows.iter().map(|row| row.as_slice()))
-            .map_err(|e| EngineError::Io(format!("wire row rejected: {e}")))?;
-        Ok(Some(rel))
-    }
 }
 
 /// The binary columnar frame format as a [`FrameCodec`].
@@ -631,16 +606,6 @@ impl FrameCodec for BinaryCodec {
 
     fn encode(&mut self, rel: &Relation, out: &mut Vec<u8>) -> Result<()> {
         encode_frame(out, rel)
-    }
-
-    fn read_batch(
-        &mut self,
-        r: &mut dyn BufRead,
-        schema: &Schema,
-        _max_rows: usize,
-    ) -> Result<Option<Relation>> {
-        // a binary frame *is* a batch — the sender chose its size
-        read_frame(r, schema)
     }
 }
 
@@ -931,11 +896,36 @@ mod tests {
             let mut codec = format.new_codec();
             let mut wire = Vec::new();
             codec.encode(&rel, &mut wire).unwrap();
-            let mut r = std::io::BufReader::new(&wire[..]);
-            let back = codec.read_batch(&mut r, &schema, usize::MAX).unwrap().unwrap();
+            // decoded the way a receptor reads each format
+            let back = match format {
+                WireFormat::Text => read_text(&wire, &schema),
+                WireFormat::Binary => {
+                    let mut r = std::io::BufReader::new(&wire[..]);
+                    let back = read_frame(&mut r, &schema).unwrap().unwrap();
+                    assert!(read_frame(&mut r, &schema).unwrap().is_none());
+                    back
+                }
+            };
             assert_eq!(back, rel, "{format} codec must round-trip");
-            assert!(codec.read_batch(&mut r, &schema, usize::MAX).unwrap().is_none());
         }
+    }
+
+    /// Every row of text wire bytes, decoded through a
+    /// [`net::TextBatcher`] on a loopback socket; no line may be rejected.
+    fn read_text(wire: &[u8], schema: &Schema) -> Relation {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let wire = wire.to_vec();
+        let writer = std::thread::spawn(move || peer.write_all(&wire));
+        let mut batcher = net::TextBatcher::new(listener.accept().unwrap().0, schema.clone());
+        let rejected = std::sync::atomic::AtomicU64::new(0);
+        let mut rows = Relation::new(schema);
+        while let Some(batch) = batcher.next_batch(&rejected, || false) {
+            rows.append_relation(&batch.rows).unwrap();
+        }
+        writer.join().unwrap().unwrap();
+        assert_eq!(rejected.into_inner(), 0);
+        rows
     }
 
     #[test]

@@ -3,9 +3,14 @@
 //! "The interchange format between the various components is purposely
 //! kept simple using a textual interface for exchanging flat relational
 //! tuples" (§3.1). Tuples travel as `|`-separated lines; NULL is the empty
-//! field.
+//! field. [`LineReader`] frames such lines off a socket with a length
+//! cap, and [`TextBatcher`] collects them into bounded-delay batches for
+//! every text receptor (engine, router, in-process).
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use monet::prelude::*;
 
@@ -96,6 +101,270 @@ pub fn decode_line(line: &[u8]) -> Option<&str> {
         .map(|s| s.trim_end_matches(['\n', '\r']))
 }
 
+/// How long a blocking socket read waits before its caller re-checks
+/// the stop flag, and how long a text batch's first row waits at most
+/// before [`TextBatcher`] hands the batch over.
+pub const POLL_INTERVAL: Duration = Duration::from_millis(20);
+
+/// [`TextBatcher`] hands a batch over once it holds this many rows.
+pub const TEXT_BATCH_ROWS: usize = 4096;
+
+/// Longest line, in bytes before its `\n`, a [`LineReader`] buffers. A
+/// longer line is reported once as [`LineEvent::TooLong`] and its bytes
+/// up to the next `\n` are discarded, so a peer cannot grow one line
+/// until the process runs out of memory.
+pub const MAX_LINE_LEN: usize = 1 << 20;
+
+/// What [`LineReader`] found next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LineEvent {
+    /// A complete line is in [`LineReader::line`], `\n` included (EOF
+    /// may cut the last line short).
+    Line,
+    /// A line grew past [`MAX_LINE_LEN`]; the rest of it is discarded.
+    TooLong,
+    /// The socket read timed out before a line completed. The bytes of
+    /// a partial line are kept for the next read.
+    Idle,
+    /// The peer closed the connection or the socket failed.
+    Closed,
+}
+
+/// `\n`-framed reader over a socket, capped at [`MAX_LINE_LEN`] bytes
+/// per line. It deals in raw bytes: UTF-8 is checked by [`decode_line`]
+/// on a complete line, so a character split across reads stays whole.
+pub struct LineReader {
+    reader: BufReader<TcpStream>,
+    line: Vec<u8>,
+    /// `line` was reported; clear it before collecting the next one.
+    taken: bool,
+    /// Discarding the rest of an over-long line up to its `\n`.
+    skipping: bool,
+    /// The socket reached EOF or failed.
+    closed: bool,
+    /// The read timeout armed on the socket.
+    timeout: Duration,
+}
+
+impl LineReader {
+    /// Frame lines off `sock`, arming a [`POLL_INTERVAL`] read timeout.
+    pub fn new(sock: TcpStream) -> LineReader {
+        let _ = sock.set_read_timeout(Some(POLL_INTERVAL));
+        LineReader {
+            reader: BufReader::new(sock),
+            line: Vec::new(),
+            taken: false,
+            skipping: false,
+            closed: false,
+            timeout: POLL_INTERVAL,
+        }
+    }
+
+    /// The line the last [`LineEvent::Line`] reported.
+    pub fn line(&self) -> &[u8] {
+        &self.line
+    }
+
+    /// Block until the next event, waiting at most [`POLL_INTERVAL`] on
+    /// the socket.
+    pub fn next_line(&mut self) -> LineEvent {
+        loop {
+            if let Some(event) = self.take_line() {
+                return event;
+            }
+            if self.closed {
+                return LineEvent::Closed;
+            }
+            if !self.fill(POLL_INTERVAL) {
+                return LineEvent::Idle;
+            }
+        }
+    }
+
+    /// The next event from bytes already buffered, without touching the
+    /// socket; `None` once the buffer is drained.
+    fn take_line(&mut self) -> Option<LineEvent> {
+        if self.taken {
+            self.line.clear();
+            self.taken = false;
+        }
+        loop {
+            let buf = self.reader.buffer();
+            if buf.is_empty() {
+                // EOF cut the last line short: it still counts
+                if self.closed && !self.line.is_empty() {
+                    self.taken = true;
+                    return Some(LineEvent::Line);
+                }
+                return None;
+            }
+            let newline = buf.iter().position(|&b| b == b'\n');
+            let len = newline.unwrap_or(buf.len());
+            let used = newline.map_or(buf.len(), |i| i + 1);
+            if self.skipping {
+                self.skipping = newline.is_none();
+            } else if self.line.len() + len > MAX_LINE_LEN {
+                self.line.clear();
+                self.skipping = newline.is_none();
+                self.reader.consume(used);
+                return Some(LineEvent::TooLong);
+            } else {
+                self.line.extend_from_slice(&buf[..used]);
+                if newline.is_some() {
+                    self.reader.consume(used);
+                    self.taken = true;
+                    return Some(LineEvent::Line);
+                }
+            }
+            self.reader.consume(used);
+        }
+    }
+
+    /// One socket read into the drained buffer, waiting at most
+    /// `timeout` (non-zero). `false` means the read timed out; EOF and
+    /// socket errors mark the reader closed (an error also drops the
+    /// partial line, which may be torn).
+    fn fill(&mut self, timeout: Duration) -> bool {
+        if timeout != self.timeout {
+            let _ = self.reader.get_ref().set_read_timeout(Some(timeout));
+            self.timeout = timeout;
+        }
+        match self.reader.fill_buf() {
+            Ok([]) => self.closed = true,
+            Ok(_) => {}
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                return false
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => {
+                self.closed = true;
+                self.line.clear();
+                self.skipping = false;
+            }
+        }
+        true
+    }
+}
+
+/// One batch handed over by [`TextBatcher`].
+pub struct TextBatch {
+    /// The parsed rows, in the user schema the batcher was built with.
+    pub rows: Relation,
+    /// How long the batch's first row waited for the hand-off.
+    pub waited: Duration,
+}
+
+/// Collects §3.1 text rows off a socket into columnar batches. A batch
+/// is handed over at the first of: [`TEXT_BATCH_ROWS`] rows; its first
+/// row having waited [`POLL_INTERVAL`]; the read going idle; EOF. The
+/// deadline bounds how long a row sits in the receptor under a trickle
+/// that never lets the read time out.
+pub struct TextBatcher {
+    lines: LineReader,
+    schema: Schema,
+    rows: Relation,
+    /// When the batch's first row arrived; `Some` iff `rows` is not
+    /// empty.
+    first_row: Option<Instant>,
+    /// Arrival time of the buffered bytes: when the last socket read
+    /// with no batch open returned, or the last hand-off happened.
+    arrived: Instant,
+}
+
+impl TextBatcher {
+    /// Batch rows of `schema` (user columns only) read off `sock`.
+    pub fn new(sock: TcpStream, schema: Schema) -> TextBatcher {
+        TextBatcher {
+            lines: LineReader::new(sock),
+            rows: Relation::new(&schema),
+            schema,
+            first_row: None,
+            arrived: Instant::now(),
+        }
+    }
+
+    /// The next batch. `None` once the peer closed and every row was
+    /// handed over, or when `stop` holds while the socket is idle. Each
+    /// malformed, non-UTF-8 or over-long line adds one to `rejected` as
+    /// soon as it is read.
+    pub fn next_batch(
+        &mut self,
+        rejected: &AtomicU64,
+        stop: impl Fn() -> bool,
+    ) -> Option<TextBatch> {
+        loop {
+            while let Some(event) = self.lines.take_line() {
+                if !(event == LineEvent::Line && self.push_line()) {
+                    rejected.fetch_add(1, Ordering::AcqRel);
+                }
+                if self.rows.len() >= TEXT_BATCH_ROWS {
+                    return self.hand_over();
+                }
+            }
+            if self.lines.closed {
+                return self.hand_over();
+            }
+            // the buffer is drained: one clock read per socket read
+            // checks the deadline and arms the read timeout with the
+            // time left, so a sender that goes quiet mid-batch is
+            // flushed on time too
+            let timeout = match self.first_row {
+                None => POLL_INTERVAL,
+                Some(first) => {
+                    let left = (first + POLL_INTERVAL).saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return self.hand_over();
+                    }
+                    left
+                }
+            };
+            if self.lines.fill(timeout) {
+                if self.first_row.is_none() {
+                    self.arrived = Instant::now();
+                }
+            } else if self.first_row.is_some() {
+                return self.hand_over();
+            } else if stop() {
+                return None;
+            }
+        }
+    }
+
+    /// Parse the line just read into the batch; `false` rejects it.
+    /// Empty lines are skipped, not rejected.
+    fn push_line(&mut self) -> bool {
+        let row = match decode_line(self.lines.line()) {
+            Some("") => return true,
+            Some(text) => match parse_row(text, &self.schema) {
+                Ok(row) => row,
+                Err(_) => return false,
+            },
+            None => return false,
+        };
+        if self.rows.append_row(&row).is_err() {
+            return false;
+        }
+        self.first_row.get_or_insert(self.arrived);
+        true
+    }
+
+    /// Hand the open batch over (`None` if it is empty).
+    fn hand_over(&mut self) -> Option<TextBatch> {
+        let first = self.first_row.take()?;
+        let now = Instant::now();
+        // rows still buffered arrived no later than now
+        self.arrived = now;
+        let rows = std::mem::replace(&mut self.rows, Relation::new(&self.schema));
+        Some(TextBatch {
+            rows,
+            waited: now - first,
+        })
+    }
+}
+
 /// Parse one wire line against a schema (user columns only).
 pub fn parse_row(line: &str, schema: &Schema) -> Result<Vec<Value>> {
     let fields: Vec<&str> = line.split('|').collect();
@@ -160,25 +429,6 @@ pub fn write_batch<W: Write>(w: &mut W, rel: &Relation) -> Result<usize> {
     w.write_all(buf.as_bytes())?;
     w.flush()?;
     Ok(rel.len())
-}
-
-/// Read up to `max` lines into rows (blocking until EOF or `max`).
-pub fn read_rows<R: BufRead>(r: &mut R, schema: &Schema, max: usize) -> Result<Vec<Vec<Value>>> {
-    let mut rows = Vec::new();
-    let mut line = String::new();
-    while rows.len() < max {
-        line.clear();
-        let n = r.read_line(&mut line)?;
-        if n == 0 {
-            break;
-        }
-        let trimmed = line.trim_end_matches(['\n', '\r']);
-        if trimmed.is_empty() {
-            continue;
-        }
-        rows.push(parse_row(trimmed, schema)?);
-    }
-    Ok(rows)
 }
 
 #[cfg(test)]
@@ -284,6 +534,101 @@ mod tests {
         assert_eq!(columnar, by_rows);
     }
 
+    /// A connected socket pair: (the peer's writer, our reader).
+    fn socket_pair() -> (std::net::TcpStream, std::net::TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        (peer, listener.accept().unwrap().0)
+    }
+
+    #[test]
+    fn line_reader_caps_line_length() {
+        let (mut peer, sock) = socket_pair();
+        let mut lines = LineReader::new(sock);
+        peer.write_all(&vec![b'x'; MAX_LINE_LEN + 1]).unwrap();
+        // reported before the newline arrives
+        assert_eq!(lines.next_line(), LineEvent::TooLong);
+        peer.write_all(b"xx\nok\nlast").unwrap();
+        drop(peer);
+        assert_eq!(lines.next_line(), LineEvent::Line);
+        assert_eq!(lines.line(), b"ok\n");
+        // EOF cuts the last line short; it still counts
+        assert_eq!(lines.next_line(), LineEvent::Line);
+        assert_eq!(lines.line(), b"last");
+        assert_eq!(lines.next_line(), LineEvent::Closed);
+    }
+
+    #[test]
+    fn line_reader_accepts_a_line_of_exactly_max_len() {
+        let (mut peer, sock) = socket_pair();
+        let mut lines = LineReader::new(sock);
+        let mut line = vec![b'y'; MAX_LINE_LEN];
+        line.push(b'\n');
+        std::thread::spawn(move || peer.write_all(&line));
+        assert_eq!(lines.next_line(), LineEvent::Line);
+        assert_eq!(lines.line().len(), MAX_LINE_LEN + 1);
+    }
+
+    #[test]
+    fn batcher_hands_over_full_batches_then_the_rest_at_eof() {
+        let (mut peer, sock) = socket_pair();
+        let s = Schema::from_pairs(&[("a", ValueType::Int)]);
+        let mut batcher = TextBatcher::new(sock, s);
+        std::thread::spawn(move || {
+            let mut text = String::new();
+            for i in 0..TEXT_BATCH_ROWS + 1 {
+                text.push_str(&format!("{i}\n"));
+            }
+            text.push_str("bad\n\n7");
+            peer.write_all(text.as_bytes())
+        });
+        let rejected = AtomicU64::new(0);
+        let first = batcher.next_batch(&rejected, || false).unwrap();
+        assert_eq!(first.rows.len(), TEXT_BATCH_ROWS);
+        let rest = batcher.next_batch(&rejected, || false).unwrap();
+        assert_eq!(
+            rest.rows.col_at(0).ints().unwrap(),
+            &[TEXT_BATCH_ROWS as i64, 7]
+        );
+        assert!(batcher.next_batch(&rejected, || false).is_none());
+        assert_eq!(rejected.into_inner(), 1);
+    }
+
+    #[test]
+    fn batcher_hands_a_trickle_over_at_the_deadline() {
+        let (mut peer, sock) = socket_pair();
+        let s = Schema::from_pairs(&[("a", ValueType::Int)]);
+        let mut batcher = TextBatcher::new(sock, s);
+        let done = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let done2 = std::sync::Arc::clone(&done);
+        let sender = std::thread::spawn(move || {
+            // one row every 2 ms for 1 s: the read never goes idle
+            let started = Instant::now();
+            let mut sent = 0usize;
+            while started.elapsed() < Duration::from_secs(1) {
+                peer.write_all(format!("{sent}\n").as_bytes()).unwrap();
+                sent += 1;
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            done2.store(true, Ordering::SeqCst);
+            sent
+        });
+        let rejected = AtomicU64::new(0);
+        let first = batcher.next_batch(&rejected, || false).unwrap();
+        assert!(
+            !done.load(Ordering::SeqCst),
+            "no batch before the trickle ended"
+        );
+        // the hand-off is due POLL_INTERVAL after the first row; the
+        // margin absorbs scheduling delays on a loaded host
+        assert!(first.waited < 10 * POLL_INTERVAL, "{:?}", first.waited);
+        let mut total = first.rows.len();
+        while let Some(batch) = batcher.next_batch(&rejected, || false) {
+            total += batch.rows.len();
+        }
+        assert_eq!(total, sender.join().unwrap());
+    }
+
     #[test]
     fn batch_io() {
         let rel = Relation::from_columns(vec![
@@ -291,12 +636,15 @@ mod tests {
             ("b".into(), Column::from_strs(vec!["x".into(), "y".into()])),
         ])
         .unwrap();
-        let mut buf = Vec::new();
-        write_batch(&mut buf, &rel).unwrap();
+        let (mut peer, sock) = socket_pair();
+        write_batch(&mut peer, &rel).unwrap();
+        drop(peer);
         let s = Schema::from_pairs(&[("a", ValueType::Int), ("b", ValueType::Str)]);
-        let mut reader = std::io::BufReader::new(&buf[..]);
-        let rows = read_rows(&mut reader, &s, 100).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[1], vec![Value::Int(2), Value::Str("y".into())]);
+        let mut batcher = TextBatcher::new(sock, s);
+        let rejected = AtomicU64::new(0);
+        let batch = batcher.next_batch(&rejected, || false).unwrap();
+        assert_eq!(batch.rows, rel);
+        assert!(batcher.next_batch(&rejected, || false).is_none());
+        assert_eq!(rejected.into_inner(), 0);
     }
 }

@@ -10,6 +10,7 @@
 
 use std::io::BufReader;
 use std::net::TcpListener;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -19,7 +20,8 @@ use monet::prelude::*;
 use crate::basket::Basket;
 use crate::clock::Clock;
 use crate::error::Result;
-use crate::frame::WireFormat;
+use crate::frame::{read_frame, WireFormat};
+use crate::net::TextBatcher;
 
 /// Handle to a running receptor thread.
 pub struct Receptor {
@@ -109,12 +111,16 @@ impl Receptor {
 
     /// Receptor listening on TCP: accepts one sensor connection and
     /// consumes batches in the given wire format until EOF. Text streams
-    /// are chopped into batches of up to 1024 tuples; binary streams
-    /// arrive pre-framed. When the basket has a pending cap, the loop
-    /// blocks (backpressure onto the peer's send buffer) instead of
+    /// go through the shared [`TextBatcher`] (a batch is appended when
+    /// full, when its first row is [`POLL_INTERVAL`] old, or when the
+    /// read goes idle; a malformed line is one rejected row); binary
+    /// streams arrive pre-framed. When the basket has a pending cap, the
+    /// loop blocks (backpressure onto the peer's send buffer) instead of
     /// growing the basket unboundedly; `basket.disable()` unblocks a
     /// wait whose consumer died (the batch is rejected and the loop
     /// resumes, ending at EOF).
+    ///
+    /// [`POLL_INTERVAL`]: crate::net::POLL_INTERVAL
     pub fn spawn_tcp(
         name: impl Into<String>,
         listener: TcpListener,
@@ -129,25 +135,37 @@ impl Receptor {
             let Ok((stream, _)) = listener.accept() else {
                 return report;
             };
-            let mut reader = BufReader::new(stream);
-            let mut codec = format.new_codec();
-            loop {
-                match codec.read_batch(&mut reader, &schema, 1024) {
-                    Ok(None) => break,
-                    Ok(Some(batch)) => {
-                        let total = batch.len() as u64;
-                        basket.wait_for_capacity(|| false);
-                        match basket.append_relation(batch, clock.as_ref()) {
-                            Ok(n) => {
-                                report.accepted += n as u64;
-                                report.rejected += total - n as u64;
-                            }
-                            Err(_) => report.rejected += total,
-                        }
+            let append = |batch: Relation, report: &mut ReceptorReport| {
+                let total = batch.len() as u64;
+                basket.wait_for_capacity(|| false);
+                match basket.append_relation(batch, clock.as_ref()) {
+                    Ok(n) => {
+                        report.accepted += n as u64;
+                        report.rejected += total - n as u64;
                     }
-                    Err(_) => {
-                        report.rejected += 1;
-                        break;
+                    Err(_) => report.rejected += total,
+                }
+            };
+            match format {
+                WireFormat::Text => {
+                    let rejected = AtomicU64::new(0);
+                    let mut batcher = TextBatcher::new(stream, schema);
+                    while let Some(batch) = batcher.next_batch(&rejected, || false) {
+                        append(batch.rows, &mut report);
+                    }
+                    report.rejected += rejected.into_inner();
+                }
+                WireFormat::Binary => {
+                    let mut reader = BufReader::new(stream);
+                    loop {
+                        match read_frame(&mut reader, &schema) {
+                            Ok(None) => break,
+                            Ok(Some(batch)) => append(batch, &mut report),
+                            Err(_) => {
+                                report.rejected += 1;
+                                break;
+                            }
+                        }
                     }
                 }
             }
@@ -231,6 +249,30 @@ mod tests {
         assert_eq!(basket.len(), 3);
         let snap = basket.snapshot();
         assert_eq!(snap.column("v").unwrap().ints().unwrap(), &[10, 20, 30]);
+    }
+
+    #[test]
+    fn tcp_receptor_rejects_a_malformed_line_and_keeps_reading() {
+        let clock: Arc<dyn Clock> = Arc::new(VirtualClock::new());
+        let basket = Basket::new("B", &schema(), true);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let receptor = Receptor::spawn_tcp(
+            "r",
+            listener,
+            Arc::clone(&basket),
+            clock,
+            WireFormat::Text,
+        );
+
+        let mut sock = std::net::TcpStream::connect(addr).unwrap();
+        sock.write_all(b"1|10\nnot-a-row\n3|30\n").unwrap();
+        drop(sock);
+
+        let report = receptor.join().unwrap();
+        assert_eq!((report.accepted, report.rejected), (2, 1));
+        let snap = basket.snapshot();
+        assert_eq!(snap.column("v").unwrap().ints().unwrap(), &[10, 30]);
     }
 
     #[test]

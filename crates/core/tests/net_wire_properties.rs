@@ -6,9 +6,32 @@
 //! including the separator/newline/backslash escapes, NULL fields, and
 //! the empty-string-vs-NULL distinction.
 
-use datacell::net::{format_row, parse_row, read_rows, write_batch};
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::AtomicU64;
+
+use datacell::net::{format_row, parse_row, write_batch, TextBatcher};
 use monet::prelude::*;
 use proptest::prelude::*;
+
+/// Every row of text wire bytes, decoded the way a receptor reads them:
+/// through a `TextBatcher` on a loopback socket. No line may be
+/// rejected.
+fn read_text(wire: &[u8], schema: &Schema) -> Relation {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let wire = wire.to_vec();
+    let writer = std::thread::spawn(move || peer.write_all(&wire));
+    let mut batcher = TextBatcher::new(listener.accept().unwrap().0, schema.clone());
+    let rejected = AtomicU64::new(0);
+    let mut rows = Relation::new(schema);
+    while let Some(batch) = batcher.next_batch(&rejected, || false) {
+        rows.append_relation(&batch.rows).unwrap();
+    }
+    writer.join().unwrap().unwrap();
+    assert_eq!(rejected.into_inner(), 0);
+    rows
+}
 
 /// Characters deliberately biased toward the protocol's escape set.
 const PALETTE: &[char] = &[
@@ -117,7 +140,7 @@ proptest! {
         prop_assert_eq!(back, row);
     }
 
-    /// Batch write/read round-trips row-for-row through a byte stream.
+    /// Batch write/read round-trips row-for-row through a socket.
     #[test]
     fn batch_roundtrip(
         ids in prop::collection::vec(-500i64..500, 1..40),
@@ -135,10 +158,9 @@ proptest! {
         let mut buf = Vec::new();
         write_batch(&mut buf, &rel).unwrap();
         let schema = Schema::from_pairs(&[("id", ValueType::Int), ("s", ValueType::Str)]);
-        let mut reader = std::io::BufReader::new(&buf[..]);
-        let rows = read_rows(&mut reader, &schema, usize::MAX).unwrap();
+        let rows = read_text(&buf, &schema);
         prop_assert_eq!(rows.len(), n);
-        for (i, row) in rows.iter().enumerate() {
+        for (i, row) in rows.iter_rows().enumerate() {
             prop_assert_eq!(&row[0], &Value::Int(ids[i]));
             prop_assert_eq!(&row[1], &Value::Str(strs[i].clone()));
         }

@@ -76,6 +76,12 @@ use crate::stats::StatsReport;
 /// as one batch.
 const SINK_BATCH: usize = 4096;
 
+/// Largest replication payload one request carries inline. Hex doubles
+/// it, so a request stays well inside the control plane's line cap
+/// ([`datacell::net::MAX_LINE_LEN`]); a longer segment or WAL chunk goes
+/// ahead in `REPL PART` pieces of this size.
+pub const REPL_PART_BYTES: usize = datacell::net::MAX_LINE_LEN / 4;
+
 /// A control-plane connection.
 pub struct Client {
     reader: BufReader<TcpStream>,
@@ -397,20 +403,35 @@ impl Client {
 
     /// `REPL SEGMENT` — land one shipped segment on a follower.
     pub fn repl_segment(&mut self, stream: &str, file: &str, rows: u64, data: &[u8]) -> Result<()> {
-        self.request(&format!(
-            "REPL SEGMENT {stream} {file} {rows} {}",
-            dcstore::hex_encode(data)
-        ))
-        .map(|_| ())
+        let payload = self.repl_payload(stream, data)?;
+        self.request(&format!("REPL SEGMENT {stream} {file} {rows} {payload}"))
+            .map(|_| ())
     }
 
     /// `REPL WAL` — append one shipped WAL chunk on a follower.
     pub fn repl_wal(&mut self, stream: &str, epoch: u64, from: u64, data: &[u8]) -> Result<()> {
+        let payload = self.repl_payload(stream, data)?;
         self.request(&format!(
-            "REPL WAL {stream} EPOCH {epoch} FROM {from} {}",
-            dcstore::hex_encode(data)
+            "REPL WAL {stream} EPOCH {epoch} FROM {from} {payload}"
         ))
         .map(|_| ())
+    }
+
+    /// The payload word of a `REPL SEGMENT` / `REPL WAL` request: the
+    /// hex of `data` when it fits in one [`REPL_PART_BYTES`] piece,
+    /// otherwise `PARTS <len>` after staging `data` with `REPL PART`.
+    fn repl_payload(&mut self, stream: &str, data: &[u8]) -> Result<String> {
+        if data.len() <= REPL_PART_BYTES {
+            return Ok(dcstore::hex_encode(data));
+        }
+        for (i, piece) in data.chunks(REPL_PART_BYTES).enumerate() {
+            self.request(&format!(
+                "REPL PART {stream} AT {} {}",
+                i * REPL_PART_BYTES,
+                dcstore::hex_encode(piece)
+            ))?;
+        }
+        Ok(format!("PARTS {}", data.len()))
     }
 
     /// `REPL PROMOTE` — make the follower replay its replica streams

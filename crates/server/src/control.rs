@@ -8,20 +8,18 @@
 //! — the `dccluster` router serves the identical wire protocol with a
 //! different dispatch table, so the two daemons share one loop.
 
-use std::io::{BufReader, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 
-use datacell::net::decode_line;
+use datacell::net::{decode_line, LineEvent, LineReader, POLL_INTERVAL};
 
 use crate::error::Result;
 use crate::protocol::{parse_command, Command, Response};
 use crate::runtime::ServerRuntime;
 use crate::session::SessionManager;
 
-use std::time::Duration;
-
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
 /// Upper bound on a control-plane response write — a client that stops
 /// reading must not wedge its connection thread (and thereby shutdown).
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
@@ -122,51 +120,42 @@ fn control_connection<S, D>(
     D: Fn(&str) -> (Response, bool),
 {
     let session = sessions.open(&peer);
-    let _ = sock.set_read_timeout(Some(POLL_INTERVAL));
     let _ = sock.set_write_timeout(Some(WRITE_TIMEOUT));
     let Ok(write_half) = sock.try_clone() else {
         sessions.close(session);
         return;
     };
     let mut writer = std::io::BufWriter::new(write_half);
-    let mut reader = BufReader::new(sock);
-    let mut line: Vec<u8> = Vec::new();
+    let mut lines = LineReader::new(sock);
     loop {
-        use std::io::BufRead;
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) => break, // client hung up
-            Ok(_) => {
-                let request = decode_line(&line).map(|r| r.trim().to_string());
-                line.clear();
-                let (response, end) = match request {
-                    Some(r) if r.is_empty() => continue,
-                    Some(r) => {
-                        sessions.note_command(session);
-                        dispatch(&r)
-                    }
-                    None => (Response::Err("request is not valid UTF-8".into()), false),
-                };
-                if response.write_to(&mut writer).is_err() {
-                    break;
+        let (response, end) = match lines.next_line() {
+            LineEvent::Line => match decode_line(lines.line()).map(str::trim) {
+                Some("") => continue,
+                Some(request) => {
+                    sessions.note_command(session);
+                    dispatch(request)
                 }
-                let _ = writer.flush();
-                // `end` covers QUIT/SHUTDOWN from this session; the stop
-                // check covers a shutdown requested elsewhere while this
-                // client pipelines commands back-to-back (it would never
-                // take the idle branch below)
-                if end || is_stopping() {
-                    break;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
+                None => (Response::Err("request is not valid UTF-8".into()), false),
+            },
+            LineEvent::TooLong => (Response::Err("line too long".into()), false),
+            LineEvent::Idle => {
                 if is_stopping() {
                     break;
                 }
+                continue;
             }
-            Err(_) => break,
+            LineEvent::Closed => break, // client hung up
+        };
+        if response.write_to(&mut writer).is_err() {
+            break;
+        }
+        let _ = writer.flush();
+        // `end` covers QUIT/SHUTDOWN from this session; the stop check
+        // covers a shutdown requested elsewhere while this client
+        // pipelines commands back-to-back (it would never take the idle
+        // branch above)
+        if end || is_stopping() {
+            break;
         }
     }
     sessions.close(session);
@@ -273,12 +262,20 @@ fn dispatch(rt: &Arc<ServerRuntime>, request: &str) -> (Response, bool) {
             result_response(rt.repl_export(&stream, segs, epoch, offset)),
             false,
         ),
+        Command::ReplPart {
+            stream,
+            offset,
+            hex,
+        } => match rt.repl_part(&stream, offset, &hex) {
+            Ok(staged) => (Response::one(format!("stream={stream} staged={staged}")), false),
+            Err(e) => (Response::Err(e.to_string()), false),
+        },
         Command::ReplSegment {
             stream,
             file,
             rows,
-            hex,
-        } => match rt.repl_segment(&stream, &file, rows, &hex) {
+            payload,
+        } => match rt.repl_segment(&stream, &file, rows, &payload) {
             Ok(()) => (Response::one(format!("segment={file} applied=true")), false),
             Err(e) => (Response::Err(e.to_string()), false),
         },
@@ -286,8 +283,8 @@ fn dispatch(rt: &Arc<ServerRuntime>, request: &str) -> (Response, bool) {
             stream,
             epoch,
             from,
-            hex,
-        } => match rt.repl_wal(&stream, epoch, from, &hex) {
+            payload,
+        } => match rt.repl_wal(&stream, epoch, from, &payload) {
             Ok(()) => (Response::one(format!("stream={stream} wal_applied=true")), false),
             Err(e) => (Response::Err(e.to_string()), false),
         },

@@ -30,8 +30,10 @@
 //! REPL STATUS <stream>                          -- a stream's durable catch-up cursor
 //! REPL EXPORT <stream> SEGS <k> EPOCH <e> OFFSET <o>
 //!                                               -- primary: durable state past the cursor
-//! REPL SEGMENT <stream> <file> <rows> <hex>     -- follower: land one shipped segment
-//! REPL WAL <stream> EPOCH <e> FROM <o> [<hex>]  -- follower: append one shipped WAL chunk
+//! REPL PART <stream> AT <offset> <hex>         -- follower: stage one piece of a long payload
+//! REPL SEGMENT <stream> <file> <rows> <payload> -- follower: land one shipped segment
+//! REPL WAL <stream> EPOCH <e> FROM <o> [<payload>]
+//!                                               -- follower: append one shipped WAL chunk
 //! REPL PROMOTE                                  -- follower becomes a primary (replay + attach)
 //! QUIT
 //! SHUTDOWN
@@ -65,6 +67,16 @@
 use std::io::{BufRead, Write};
 
 use datacell::frame::WireFormat;
+
+/// The bytes a `REPL SEGMENT` / `REPL WAL` request ships.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReplPayload {
+    /// Hex-encoded on the request line itself (empty = no bytes).
+    Hex(String),
+    /// `PARTS <bytes>`: the stream's staged `REPL PART` pieces, which
+    /// must add up to exactly `bytes`.
+    Parts(u64),
+}
 
 /// A parsed control-plane request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,22 +186,31 @@ pub enum Command {
         epoch: u64,
         offset: u64,
     },
-    /// `REPL SEGMENT <stream> <file> <rows> <hex>` — follower: land one
-    /// shipped segment file durably.
+    /// `REPL PART <stream> AT <offset> <hex>` — follower: stage one
+    /// piece of a payload too long for one request line; offset 0
+    /// starts a new payload, any other offset must continue the staged
+    /// one. A later `PARTS <bytes>` payload consumes it.
+    ReplPart {
+        stream: String,
+        offset: u64,
+        hex: String,
+    },
+    /// `REPL SEGMENT <stream> <file> <rows> <payload>` — follower: land
+    /// one shipped segment file durably.
     ReplSegment {
         stream: String,
         file: String,
         rows: u64,
-        hex: String,
+        payload: ReplPayload,
     },
-    /// `REPL WAL <stream> EPOCH <e> FROM <o> [<hex>]` — follower: append
-    /// one shipped WAL chunk (empty chunk = pure epoch adoption after a
-    /// primary seal).
+    /// `REPL WAL <stream> EPOCH <e> FROM <o> [<payload>]` — follower:
+    /// append one shipped WAL chunk (empty chunk = pure epoch adoption
+    /// after a primary seal).
     ReplWal {
         stream: String,
         epoch: u64,
         from: u64,
-        hex: String,
+        payload: ReplPayload,
     },
     /// `REPL PROMOTE` — replay every replica stream's WAL tail into a
     /// live basket and attach persistence: the follower becomes a
@@ -242,6 +263,22 @@ fn parse_name(input: &str) -> Result<(String, &str), String> {
         return Err(format!("invalid name {word:?}"));
     }
     Ok((word.to_string(), rest))
+}
+
+/// The trailing payload of `REPL SEGMENT` / `REPL WAL`: `PARTS <bytes>`
+/// or one hex word (absent = empty).
+fn parse_repl_payload(input: &str) -> Result<ReplPayload, String> {
+    let (word, rest) = take_word(input);
+    let (payload, trailing) = if word.eq_ignore_ascii_case("PARTS") {
+        let (bytes, trailing) = parse_num::<u64>(rest, "staged byte count")?;
+        (ReplPayload::Parts(bytes), trailing)
+    } else {
+        (ReplPayload::Hex(word.to_string()), rest)
+    };
+    if !trailing.is_empty() {
+        return Err(format!("unexpected trailing input {trailing:?}"));
+    }
+    Ok(payload)
 }
 
 /// `CREATE STREAM <name> (<cols>) [PERSIST] [SHARD BY (<col>) [SHARDS <n>]]`.
@@ -492,18 +529,14 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                         return Err("REPL SEGMENT requires a file name".into());
                     }
                     let (rows, tail) = parse_num::<u64>(tail, "row count")?;
-                    let (hex, trailing) = take_word(tail);
-                    if hex.is_empty() {
-                        return Err("REPL SEGMENT requires a hex payload".into());
-                    }
-                    if !trailing.is_empty() {
-                        return Err(format!("unexpected trailing input {trailing:?}"));
+                    if tail.is_empty() {
+                        return Err("REPL SEGMENT requires a payload".into());
                     }
                     Ok(Command::ReplSegment {
                         stream,
                         file: file.to_string(),
                         rows,
-                        hex: hex.to_string(),
+                        payload: parse_repl_payload(tail)?,
                     })
                 }
                 "WAL" => {
@@ -512,16 +545,29 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
                     let (epoch, tail) = parse_num::<u64>(tail, "epoch")?;
                     let tail = expect_kw(tail, "FROM")?;
                     let (from, tail) = parse_num::<u64>(tail, "offset")?;
-                    // the hex payload may be absent: an empty chunk still
+                    // the payload may be absent: an empty chunk still
                     // carries an epoch to adopt after a primary seal
-                    let (hex, trailing) = take_word(tail);
-                    if !trailing.is_empty() {
-                        return Err(format!("unexpected trailing input {trailing:?}"));
-                    }
                     Ok(Command::ReplWal {
                         stream,
                         epoch,
                         from,
+                        payload: parse_repl_payload(tail)?,
+                    })
+                }
+                "PART" => {
+                    let (stream, tail) = parse_name(tail)?;
+                    let tail = expect_kw(tail, "AT")?;
+                    let (offset, tail) = parse_num::<u64>(tail, "offset")?;
+                    let (hex, trailing) = take_word(tail);
+                    if hex.is_empty() {
+                        return Err("REPL PART requires a hex payload".into());
+                    }
+                    if !trailing.is_empty() {
+                        return Err(format!("unexpected trailing input {trailing:?}"));
+                    }
+                    Ok(Command::ReplPart {
+                        stream,
+                        offset,
                         hex: hex.to_string(),
                     })
                 }
@@ -1076,7 +1122,7 @@ mod tests {
                 stream: "S".into(),
                 file: "seg-000002.dcs".into(),
                 rows: 128,
-                hex: "deadbeef".into(),
+                payload: ReplPayload::Hex("deadbeef".into()),
             }
         );
         assert_eq!(
@@ -1085,7 +1131,7 @@ mod tests {
                 stream: "S".into(),
                 epoch: 2,
                 from: 64,
-                hex: "0a0b".into(),
+                payload: ReplPayload::Hex("0a0b".into()),
             }
         );
         // empty chunk: pure epoch adoption after a primary seal
@@ -1095,9 +1141,40 @@ mod tests {
                 stream: "S".into(),
                 epoch: 3,
                 from: 0,
-                hex: String::new(),
+                payload: ReplPayload::Hex(String::new()),
             }
         );
+        // a payload too long for one line goes ahead in staged parts
+        assert_eq!(
+            parse_command("REPL PART S AT 262144 0a0b").unwrap(),
+            Command::ReplPart {
+                stream: "S".into(),
+                offset: 262144,
+                hex: "0a0b".into(),
+            }
+        );
+        assert_eq!(
+            parse_command("REPL SEGMENT S seg-000002.dcs 128 PARTS 300000").unwrap(),
+            Command::ReplSegment {
+                stream: "S".into(),
+                file: "seg-000002.dcs".into(),
+                rows: 128,
+                payload: ReplPayload::Parts(300000),
+            }
+        );
+        assert_eq!(
+            parse_command("REPL WAL S EPOCH 2 FROM 64 parts 9").unwrap(),
+            Command::ReplWal {
+                stream: "S".into(),
+                epoch: 2,
+                from: 64,
+                payload: ReplPayload::Parts(9),
+            }
+        );
+        assert!(parse_command("REPL PART S AT 0").is_err());
+        assert!(parse_command("REPL PART S 0 0a0b").is_err());
+        assert!(parse_command("REPL WAL S EPOCH 2 FROM 64 PARTS").is_err());
+        assert!(parse_command("REPL WAL S EPOCH 2 FROM 64 0a0b extra").is_err());
         assert_eq!(parse_command("REPL PROMOTE").unwrap(), Command::ReplPromote);
         assert!(parse_command("REPL PROMOTE now").is_err());
         assert!(parse_command("REPL EXPORT S SEGS x EPOCH 0 OFFSET 0").is_err());

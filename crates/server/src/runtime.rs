@@ -7,7 +7,8 @@
 //! fan-out threads delivering query results to TCP subscribers — with a
 //! single stop flag driving graceful shutdown of the whole tree.
 
-use std::io::{BufRead, Write};
+use std::collections::HashMap;
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -18,21 +19,18 @@ use std::time::{Duration, Instant};
 use datacell::emitter::Emitter;
 use datacell::engine::{DataCell, QueryOptions};
 use datacell::frame::{decode_frame_traced, WireFormat};
-use datacell::net::{decode_line, parse_row};
+use datacell::net::{TextBatch, TextBatcher, POLL_INTERVAL};
 use datacell::scheduler::ThreadedScheduler;
 use monet::prelude::*;
 use parking_lot::Mutex;
 
 use crate::error::{Result, ServerError};
+use crate::protocol::ReplPayload;
 use crate::session::{QueryHandle, QueryRegistry, SessionManager};
 
-/// How long blocking reads/accepts wait before re-checking the stop flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
 /// Upper bound on a single emitter socket write (a stalled subscriber is
 /// disconnected rather than allowed to wedge delivery and shutdown).
 const EMITTER_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
-/// Receptor batching: flush after this many buffered rows.
-const RECEPTOR_BATCH: usize = 4096;
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -161,6 +159,10 @@ pub struct ServerRuntime {
     store: Option<Arc<dcstore::Store>>,
     /// What boot-time recovery replayed (present when `store` is).
     recovery: Option<dcstore::RecoveryReport>,
+    /// `REPL PART` pieces staged per replica stream until a `PARTS`
+    /// payload consumes them. A stream has one replication source at a
+    /// time (the router runs one pump tick at a time).
+    repl_parts: Mutex<HashMap<String, Vec<u8>>>,
 }
 
 impl ServerRuntime {
@@ -214,6 +216,7 @@ impl ServerRuntime {
             started_at: Instant::now(),
             store,
             recovery,
+            repl_parts: Mutex::new(HashMap::new()),
         });
         if rt.telemetry.is_enabled() {
             rt.spawn_snapshotter();
@@ -710,21 +713,69 @@ impl ServerRuntime {
         Ok(body)
     }
 
-    /// `REPL SEGMENT`: follower side — land one shipped segment durably.
-    pub fn repl_segment(&self, stream: &str, file: &str, rows: u64, hex: &str) -> Result<()> {
+    /// `REPL PART`: follower side — stage one piece of a payload too
+    /// long for one request line. Offset 0 starts a new payload; any
+    /// other offset must equal the bytes staged so far. Returns that
+    /// total after this piece.
+    pub fn repl_part(&self, stream: &str, offset: u64, hex: &str) -> Result<u64> {
         self.ensure_running()?;
         self.ensure_replica(stream)?;
-        let data = dcstore::hex_decode(hex)?;
+        // only a stream opened as a replica may stage bytes
+        self.store_required()?.replica_status(stream)?;
+        let piece = dcstore::hex_decode(hex)?;
+        let mut parts = self.repl_parts.lock();
+        let staged = parts.entry(stream.to_string()).or_default();
+        if offset == 0 {
+            staged.clear();
+        } else if offset != staged.len() as u64 {
+            return Err(ServerError::Protocol(format!(
+                "stream {stream}: part at {offset}, {} bytes staged",
+                staged.len()
+            )));
+        }
+        staged.extend_from_slice(&piece);
+        Ok(staged.len() as u64)
+    }
+
+    /// The bytes a `REPL SEGMENT` / `REPL WAL` payload names: decoded
+    /// hex, or the stream's staged parts (taken, so they apply once).
+    fn repl_payload(&self, stream: &str, payload: &ReplPayload) -> Result<Vec<u8>> {
+        match payload {
+            ReplPayload::Hex(hex) => Ok(dcstore::hex_decode(hex)?),
+            ReplPayload::Parts(bytes) => {
+                let staged = self.repl_parts.lock().remove(stream).unwrap_or_default();
+                if staged.len() as u64 != *bytes {
+                    return Err(ServerError::Protocol(format!(
+                        "stream {stream}: payload of {bytes} bytes, {} staged",
+                        staged.len()
+                    )));
+                }
+                Ok(staged)
+            }
+        }
+    }
+
+    /// `REPL SEGMENT`: follower side — land one shipped segment durably.
+    pub fn repl_segment(
+        &self,
+        stream: &str,
+        file: &str,
+        rows: u64,
+        payload: &ReplPayload,
+    ) -> Result<()> {
+        self.ensure_running()?;
+        self.ensure_replica(stream)?;
+        let data = self.repl_payload(stream, payload)?;
         self.store_required()?
             .apply_segment(stream, file, rows, &data)?;
         Ok(())
     }
 
     /// `REPL WAL`: follower side — append one shipped WAL chunk.
-    pub fn repl_wal(&self, stream: &str, epoch: u64, from: u64, hex: &str) -> Result<()> {
+    pub fn repl_wal(&self, stream: &str, epoch: u64, from: u64, payload: &ReplPayload) -> Result<()> {
         self.ensure_running()?;
         self.ensure_replica(stream)?;
-        let data = dcstore::hex_decode(hex)?;
+        let data = self.repl_payload(stream, payload)?;
         self.store_required()?.apply_wal(stream, epoch, from, &data)?;
         Ok(())
     }
@@ -1077,115 +1128,70 @@ fn receptor_connection(
     }
 }
 
-/// Text data plane: greedily batch wire rows into the basket.
+/// Text data plane: append each batch the shared [`TextBatcher`] hands
+/// over (full, or its first row [`POLL_INTERVAL`] old, or idle/EOF).
 fn receptor_connection_text(
     rt: &ServerRuntime,
     port: &ReceptorPort,
     basket: &Arc<datacell::basket::Basket>,
     sock: TcpStream,
 ) {
-    let schema = basket.user_schema();
     let clock = Arc::clone(rt.engine.clock());
-    let _ = sock.set_read_timeout(Some(POLL_INTERVAL));
-    let mut reader = std::io::BufReader::new(sock);
-    let mut line: Vec<u8> = Vec::new();
-    let mut batch: Vec<Vec<Value>> = Vec::new();
-    let mut eof = false;
-    while !eof {
-        loop {
-            match reader.read_until(b'\n', &mut line) {
-                Ok(n) => {
-                    // n == 0 is EOF; a last line it cut short still counts
-                    match decode_line(&line) {
-                        Some("") => {}
-                        Some(text) => match parse_row(text, &schema) {
-                            Ok(row) => batch.push(row),
-                            Err(_) => {
-                                port.rejected.fetch_add(1, Ordering::AcqRel);
-                            }
-                        },
-                        None => {
-                            port.rejected.fetch_add(1, Ordering::AcqRel);
-                        }
-                    }
-                    line.clear();
-                    if n == 0 {
-                        eof = true;
-                        break;
-                    }
-                    if batch.len() >= RECEPTOR_BATCH {
-                        break;
-                    }
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    // idle: flush what we have, re-check the stop flag;
-                    // the bytes of a partially read line stay in `line`
-                    // for the next read_until call to complete
-                    if rt.is_stopping() {
-                        eof = true;
-                    }
-                    break;
-                }
-                Err(_) => {
-                    eof = true;
-                    break;
-                }
+    let mut batcher = TextBatcher::new(sock, basket.user_schema());
+    while let Some(TextBatch { rows, waited }) =
+        batcher.next_batch(&port.rejected, || rt.is_stopping())
+    {
+        if let Some(p) = basket.probe() {
+            p.note_fill_micros(waited.as_micros() as u64);
+        }
+        let total = rows.len() as u64;
+        // backpressure: a capped basket blocks this connection (and
+        // thereby the peer's socket) until the factory drains it. A
+        // false return also covers "disabled while full" — then fall
+        // through so the append soft-rejects exactly like a disabled
+        // basket below cap; only shutdown drops the connection.
+        let trace_batch = rt.telemetry().maybe_sample().unwrap_or(0);
+        let append_started = basket.probe().map(|_| Instant::now());
+        if !basket.wait_for_capacity(|| rt.is_stopping()) && rt.is_stopping() {
+            break;
+        }
+        if trace_batch != 0 {
+            dctrace::span::set_current(trace_batch);
+            // arm the basket mark before the rows land: the firing
+            // that consumes them can run the instant append releases
+            // the basket lock, and a mark set afterwards would miss
+            // it (losing the dwell/fire/emitter spans)
+            if let Some(p) = basket.probe() {
+                p.set_trace_mark(trace_batch);
             }
         }
-        if !batch.is_empty() {
-            // backpressure: a capped basket blocks this connection (and
-            // thereby the peer's socket) until the factory drains it. A
-            // false return also covers "disabled while full" — then fall
-            // through so the append soft-rejects exactly like a disabled
-            // basket below cap; only shutdown drops the connection.
-            let trace_batch = rt.telemetry().maybe_sample().unwrap_or(0);
-            let append_started = basket.probe().map(|_| Instant::now());
-            if !basket.wait_for_capacity(|| rt.is_stopping()) && rt.is_stopping() {
-                break;
+        let appended = match basket.append_relation(rows, clock.as_ref()) {
+            Ok(n) => {
+                port.accepted.fetch_add(n as u64, Ordering::AcqRel);
+                port.rejected.fetch_add(total - n as u64, Ordering::AcqRel);
+                n
             }
+            Err(_) => {
+                port.rejected.fetch_add(total, Ordering::AcqRel);
+                0
+            }
+        };
+        dctrace::span::clear_current();
+        // capacity wait + append for this batch (the wait is what the
+        // sender experiences; the fill wait is `dc_receptor_fill_micros`)
+        if let (Some(p), Some(started)) = (basket.probe(), append_started) {
+            let dur = started.elapsed().as_micros() as u64;
+            p.note_append_micros(dur);
             if trace_batch != 0 {
-                dctrace::span::set_current(trace_batch);
-                // arm the basket mark before the rows land: the firing
-                // that consumes them can run the instant append releases
-                // the basket lock, and a mark set afterwards would miss
-                // it (losing the dwell/fire/emitter spans)
-                if let Some(p) = basket.probe() {
-                    p.set_trace_mark(trace_batch);
+                if appended > 0 {
+                    p.note_span("receptor", trace_batch, dur);
+                } else {
+                    p.clear_trace_mark(trace_batch);
                 }
             }
-            let appended = match basket.append_rows(&batch, clock.as_ref()) {
-                Ok(n) => {
-                    port.accepted.fetch_add(n as u64, Ordering::AcqRel);
-                    port.rejected
-                        .fetch_add((batch.len() - n) as u64, Ordering::AcqRel);
-                    n
-                }
-                Err(_) => {
-                    port.rejected.fetch_add(batch.len() as u64, Ordering::AcqRel);
-                    0
-                }
-            };
-            dctrace::span::clear_current();
-            // decode→append latency for this batch (capacity wait
-            // included: that is what the sender experiences)
-            if let (Some(p), Some(started)) = (basket.probe(), append_started) {
-                let dur = started.elapsed().as_micros() as u64;
-                p.note_append_micros(dur);
-                if trace_batch != 0 {
-                    if appended > 0 {
-                        p.note_span("receptor", trace_batch, dur);
-                    } else {
-                        p.clear_trace_mark(trace_batch);
-                    }
-                }
-            }
-            batch.clear();
         }
-        // also honor shutdown between batch flushes — a client streaming
-        // continuously never takes the idle branch above
+        // honor shutdown between batches — a client streaming
+        // continuously never lets the batcher see an idle read
         if rt.is_stopping() {
             break;
         }

@@ -818,3 +818,130 @@ fn control_plane_keeps_a_utf8_character_split_across_reads() {
     c.shutdown().unwrap();
     server_thread.join().unwrap();
 }
+
+/// Write one `id|id*3` text row every 2 ms for 600 ms, then close the
+/// socket; returns the rows sent and when the last one was written.
+fn trickle(addr: std::net::SocketAddr) -> JoinHandle<(Vec<(i64, i64)>, std::time::Instant)> {
+    use std::io::Write;
+    std::thread::spawn(move || {
+        let mut sock = std::net::TcpStream::connect(addr).unwrap();
+        let started = std::time::Instant::now();
+        let mut sent = Vec::new();
+        let mut id = 0i64;
+        while started.elapsed() < Duration::from_millis(600) {
+            sock.write_all(format!("{id}|{}\n", id * 3).as_bytes()).unwrap();
+            sent.push((id, id * 3));
+            id += 1;
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        (sent, std::time::Instant::now())
+    })
+}
+
+/// Read `(id, v)` rows off a tap until it has `n`, noting when the
+/// first one arrived.
+fn take_pairs(
+    tap: &mut dcserver::client::EmitterTap,
+    n: usize,
+) -> (Vec<(i64, i64)>, std::time::Instant) {
+    let schema = Schema::from_pairs(&[("id", ValueType::Int), ("v", ValueType::Int)]);
+    let mut rows = Vec::new();
+    let mut first = None;
+    while rows.len() < n {
+        let row = tap.next_row(&schema).unwrap().expect("tap closed early");
+        first.get_or_insert_with(std::time::Instant::now);
+        match (&row[0], &row[1]) {
+            (Value::Int(id), Value::Int(v)) => rows.push((*id, *v)),
+            other => panic!("unexpected row {other:?}"),
+        }
+    }
+    (rows, first.expect("at least one row"))
+}
+
+#[test]
+fn text_trickle_reaches_the_subscriber_while_it_runs() {
+    let server = bind("127.0.0.1:0", ServerConfig::default()).expect("bind control plane");
+    let addr = server.local_addr().unwrap();
+    let rt = std::sync::Arc::clone(server.runtime());
+    let server_thread = std::thread::spawn(move || server.serve().expect("serve"));
+    let mut c = Client::connect(addr).unwrap();
+    c.create_stream("S", "(id int, v int)").unwrap();
+    c.register_query("all", "select id, v from [select * from S] as Z")
+        .unwrap();
+    let rport = c.attach_receptor("S", 0).unwrap();
+    let eport = c.attach_emitter("all", 0).unwrap();
+    let mut tap = c.open_emitter(eport).unwrap();
+    tap.set_timeout(Some(Duration::from_secs(10))).unwrap();
+
+    // a row every 2 ms never lets the receptor's read time out, so only
+    // the batch deadline can hand rows over before the sender stops
+    let sender = trickle((addr.ip(), rport).into());
+    let (mut got, first_seen) = take_pairs(&mut tap, 1);
+    let (mut sent, sender_done) = sender.join().unwrap();
+    assert!(
+        first_seen < sender_done,
+        "no row reached the subscriber before the trickle ended"
+    );
+    got.extend(take_pairs(&mut tap, sent.len() - 1).0);
+    got.sort_unstable();
+    sent.sort_unstable();
+    assert_eq!(got, sent);
+
+    // the fill wait is visible in METRICS and bounded by the deadline
+    let fill = rt
+        .telemetry()
+        .hist_snapshot("dc_receptor_fill_micros", &[("stream", "S")])
+        .expect("fill histogram registered");
+    assert!(fill.count > 0, "{fill:?}");
+    let bound = 2 * datacell::net::POLL_INTERVAL.as_micros() as u64;
+    assert!(fill.max < bound, "fill wait {} µs, bound {bound} µs", fill.max);
+
+    c.shutdown().unwrap();
+    server_thread.join().unwrap();
+}
+
+#[test]
+fn over_long_text_line_is_one_rejection_and_the_connection_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    let (addr, server_thread) = boot();
+    let mut c = Client::connect(addr).unwrap();
+    c.create_stream("S", "(id int, v int)").unwrap();
+    let rport = c.attach_receptor("S", 0).unwrap();
+
+    // no newline yet: the line is rejected as soon as it passes the cap
+    let mut raw = std::net::TcpStream::connect((addr.ip(), rport)).unwrap();
+    raw.write_all(&vec![b'7'; datacell::net::MAX_LINE_LEN + 1]).unwrap();
+    raw.flush().unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let rejected = loop {
+        let stats = c.stats_report().unwrap();
+        let r = stats.receptors.iter().find(|r| r.stream == "S").unwrap();
+        if r.rejected > 0 || std::time::Instant::now() > deadline {
+            break r.rejected;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(rejected, 1);
+    // the rest of the long line is discarded up to its newline
+    raw.write_all(b"777\n1|10\n").unwrap();
+    raw.flush().unwrap();
+    assert_eq!(receptor_counts(&mut c, "S", 1), (1, 1));
+
+    // the control plane answers an over-long request with an error and
+    // keeps the session
+    let mut ctl = std::net::TcpStream::connect(addr).unwrap();
+    ctl.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut replies = BufReader::new(ctl.try_clone().unwrap());
+    ctl.write_all(&vec![b'x'; datacell::net::MAX_LINE_LEN + 1]).unwrap();
+    ctl.write_all(b"\nPING\n").unwrap();
+    let mut reply = String::new();
+    replies.read_line(&mut reply).unwrap();
+    assert_eq!(reply.trim_end(), "ERR line too long");
+    reply.clear();
+    replies.read_line(&mut reply).unwrap();
+    assert_eq!(reply.trim_end(), "OK 1");
+
+    drop((raw, ctl));
+    c.shutdown().unwrap();
+    server_thread.join().unwrap();
+}

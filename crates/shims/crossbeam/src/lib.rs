@@ -152,7 +152,10 @@ pub mod channel {
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
             if self.0.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-                // last sender gone: wake all blocked receivers
+                // last sender gone: wake all blocked receivers. Taking the
+                // queue lock first means a receiver that still saw a live
+                // sender has already gone to wait, so it gets the wake-up
+                drop(self.0.queue.lock().unwrap_or_else(|p| p.into_inner()));
                 self.0.ready.notify_all();
             }
         }
@@ -291,6 +294,34 @@ pub mod channel {
             std::thread::sleep(Duration::from_millis(20));
             tx.send(42).unwrap();
             assert_eq!(h.join().unwrap(), Ok(42));
+        }
+
+        #[test]
+        fn last_sender_drop_wakes_a_blocked_receiver() {
+            // a drop that lands between the receiver's check for live
+            // senders and its wait must still wake it: both sides are
+            // released together so the drop often lands there
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                for _ in 0..50_000 {
+                    let (tx, rx) = unbounded::<i32>();
+                    let go = Arc::new(std::sync::atomic::AtomicBool::new(false));
+                    let go2 = Arc::clone(&go);
+                    let h = std::thread::spawn(move || {
+                        while !go2.load(Ordering::Acquire) {
+                            std::hint::spin_loop();
+                        }
+                        rx.recv()
+                    });
+                    go.store(true, Ordering::Release);
+                    drop(tx);
+                    assert_eq!(h.join().unwrap(), Err(RecvError));
+                }
+                done_tx.send(()).unwrap();
+            });
+            done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("a receiver slept through the last sender's drop");
         }
 
         #[test]

@@ -18,6 +18,7 @@ pub struct BasketProbe {
     stream: String,
     dwell: Arc<Histogram>,
     append: Arc<Histogram>,
+    fill: Arc<Histogram>,
     backpressure_waits: Arc<AtomicU64>,
     compactions: Arc<AtomicU64>,
     rows_in: Arc<AtomicU64>,
@@ -40,6 +41,7 @@ impl BasketProbe {
             stream: stream.to_string(),
             dwell: t.histogram("dc_basket_dwell_micros", labels)?,
             append: t.histogram("dc_receptor_append_micros", labels)?,
+            fill: t.histogram("dc_receptor_fill_micros", labels)?,
             backpressure_waits: t.counter("dc_backpressure_waits_total", labels)?,
             compactions: t.counter("dc_compactions_total", labels)?,
             rows_in: t.counter("dc_ingest_rows_total", labels)?,
@@ -104,6 +106,13 @@ impl BasketProbe {
     #[inline]
     pub fn note_append_micros(&self, micros: u64) {
         self.append.record(micros);
+    }
+
+    /// How long a text batch's first row waited for the batch to be
+    /// handed over (filled, timed out or flushed at idle).
+    #[inline]
+    pub fn note_fill_micros(&self, micros: u64) {
+        self.fill.record(micros);
     }
 
     /// Consume the watermark (oldest pending ingest timestamp, `0` if
