@@ -9,9 +9,9 @@
 //! `ATTACH` opens logical ports fronting the whole cluster, and `STATS`
 //! aggregates.
 
-use std::net::TcpListener;
 use std::sync::Arc;
 
+use datacell::net::Listener;
 use dcserver::control::serve_loop;
 use dcserver::error::Result;
 use dcserver::protocol::{parse_command, Command, Response};
@@ -20,15 +20,14 @@ use crate::router::ClusterRuntime;
 
 /// The cluster's control-plane server.
 pub struct ClusterControl {
-    listener: TcpListener,
+    listener: Listener,
     runtime: Arc<ClusterRuntime>,
 }
 
 impl ClusterControl {
     /// Bind the router control listener (port 0 for ephemeral).
     pub fn bind(addr: &str, runtime: Arc<ClusterRuntime>) -> Result<ClusterControl> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let listener = Listener::bind(addr)?;
         Ok(ClusterControl { listener, runtime })
     }
 
@@ -45,13 +44,10 @@ impl ClusterControl {
     /// cluster down. Blocks the caller.
     pub fn serve(self) -> Result<()> {
         let rt = &self.runtime;
-        serve_loop(
-            &self.listener,
-            &rt.sessions,
-            &|| rt.is_stopping(),
-            &|request| dispatch(rt, request),
-        );
-        self.runtime.shutdown();
+        serve_loop(self.listener, &rt.shutdown, &rt.sessions, &|request| {
+            dispatch(rt, request)
+        });
+        rt.shutdown();
         Ok(())
     }
 }

@@ -20,7 +20,7 @@
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -28,7 +28,9 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use datacell::frame::{self, WireFormat};
-use datacell::net::{TextBatch, TextBatcher, POLL_INTERVAL};
+use datacell::net::{
+    Listener, PortCloser, Rejects, Shutdown, TextBatch, TextBatcher, POLL_INTERVAL,
+};
 use datacell::partition::Partitioner;
 use dcsql::ast::{CreateKind, Stmt};
 use dcserver::error::{Result, ServerError};
@@ -186,10 +188,10 @@ pub struct ClusterReceptorPort {
     pub format: WireFormat,
     pub connections: AtomicU64,
     pub accepted: AtomicU64,
-    pub rejected: AtomicU64,
-    /// `DETACH RECEPTOR` flips this; the accept loop exits, established
+    pub rejected: Rejects,
+    /// `DETACH RECEPTOR` closes this; the accept loop exits, established
     /// ingest connections drain until their peers hang up.
-    closed: Arc<AtomicBool>,
+    closer: Arc<PortCloser>,
     /// Shard-side binary receptor ports behind this logical port, so
     /// DETACH can close them too — `(engine id, shard port)`, in shard
     /// index order. Behind a mutex: promotion re-points entries at the
@@ -204,9 +206,9 @@ pub struct ClusterEmitterPort {
     pub format: WireFormat,
     pub connections: AtomicU64,
     pub relay: Arc<FrameRelay>,
-    /// `DETACH EMITTER` flips this; existing subscribers keep their
+    /// `DETACH EMITTER` closes this; existing subscribers keep their
     /// streams until the taps see EOF.
-    closed: Arc<AtomicBool>,
+    closer: Arc<PortCloser>,
     /// Shard-side emitter ports behind this logical port (re-pointed by
     /// promotion, like the receptor's).
     pub(crate) shard_ports: Mutex<Vec<(usize, u16)>>,
@@ -218,7 +220,7 @@ pub struct ClusterEmitterPort {
 pub struct ClusterTracePort {
     pub query: String,
     pub port: u16,
-    closed: Arc<AtomicBool>,
+    closer: Arc<PortCloser>,
     relay: Arc<FrameRelay>,
     writers: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -273,7 +275,9 @@ pub struct ClusterRuntime {
     /// Emitter accept loops + shard taps (joined after the engines shut
     /// down, so final results drain through the relays).
     pub(crate) egress_threads: Mutex<Vec<JoinHandle<()>>>,
-    stop: Arc<AtomicBool>,
+    /// The stop switch: closes every live listener (the control
+    /// plane's included) and wakes the background pump and snapshotter.
+    pub(crate) shutdown: Shutdown,
     /// Set only AFTER the shard engines shut down (and thus flushed
     /// their final results): shard taps must not stop on the earlier
     /// `stop` flag, or tail results racing the shutdown would be lost.
@@ -352,7 +356,7 @@ impl ClusterRuntime {
             trace_ports: Mutex::new(Vec::new()),
             ingress_threads: Mutex::new(Vec::new()),
             egress_threads: Mutex::new(Vec::new()),
-            stop: Arc::new(AtomicBool::new(false)),
+            shutdown: Shutdown::default(),
             drain_taps: AtomicBool::new(false),
             started_at: Instant::now(),
         });
@@ -373,16 +377,7 @@ impl ClusterRuntime {
         let handle = std::thread::Builder::new()
             .name("dcc-repl".into())
             .spawn(move || {
-                let interval = rt.config.repl_interval;
-                while !rt.is_stopping() {
-                    let mut slept = Duration::ZERO;
-                    while slept < interval && !rt.is_stopping() {
-                        std::thread::sleep(POLL_INTERVAL.min(interval));
-                        slept += POLL_INTERVAL.min(interval);
-                    }
-                    if rt.is_stopping() {
-                        break;
-                    }
+                while rt.shutdown.sleep(rt.config.repl_interval) {
                     rt.pump_replication_now();
                 }
             })
@@ -399,16 +394,7 @@ impl ClusterRuntime {
         let handle = std::thread::Builder::new()
             .name("dcc-metrics".into())
             .spawn(move || {
-                let interval = rt.config.engine.metrics_interval;
-                while !rt.is_stopping() {
-                    let mut slept = Duration::ZERO;
-                    while slept < interval && !rt.is_stopping() {
-                        std::thread::sleep(POLL_INTERVAL);
-                        slept += POLL_INTERVAL;
-                    }
-                    if rt.is_stopping() {
-                        break;
-                    }
+                while rt.shutdown.sleep(rt.config.engine.metrics_interval) {
                     rt.capture_metrics_now();
                 }
             })
@@ -459,11 +445,11 @@ impl ClusterRuntime {
     }
 
     pub fn is_stopping(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
+        self.shutdown.is_requested()
     }
 
     pub fn request_shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
+        self.shutdown.request();
     }
 
     pub fn uptime(&self) -> Duration {
@@ -911,8 +897,7 @@ impl ClusterRuntime {
             .ok_or_else(|| ServerError::Unknown(format!("stream {stream}")))?;
         // bind the logical port FIRST: a bad local port (in use,
         // privileged) must fail before any engine-side port is attached
-        let listener = TcpListener::bind((self.config.data_host.as_str(), port))?;
-        listener.set_nonblocking(true)?;
+        let listener = Listener::bind((self.config.data_host.as_str(), port))?;
         let bound = listener.local_addr()?.port();
         // shard-side ingest is always binary: the router has columnar
         // batches in hand, whatever the client-facing format. A failure
@@ -938,57 +923,39 @@ impl ClusterRuntime {
             format,
             connections: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            closed: Arc::new(AtomicBool::new(false)),
+            rejected: match format {
+                WireFormat::Text => Rejects::labelled(&self.telemetry, stream),
+                WireFormat::Binary => Rejects::default(),
+            },
+            closer: listener.closer(),
             shard_ports: Mutex::new(shard_ports),
         });
         self.receptors.lock().push(Arc::clone(&rport));
 
         let rt = Arc::clone(self);
         let accept_port = Arc::clone(&rport);
+        let conn_name = format!("dcc-rcpt-{stream}-conn");
         let handle = std::thread::Builder::new()
             .name(format!("dcc-rcpt-{stream}"))
             .spawn(move || {
-                let mut conns: Vec<JoinHandle<()>> = Vec::new();
-                while !rt.is_stopping() && !accept_port.closed.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((sock, _peer)) => {
-                            accept_port.connections.fetch_add(1, Ordering::AcqRel);
-                            let rt2 = Arc::clone(&rt);
-                            let port2 = Arc::clone(&accept_port);
-                            let entry2 = Arc::clone(&entry);
-                            // resolve shard addresses per connection, not
-                            // per port: promotion re-points shard_ports at
-                            // the new primary, and connections accepted
-                            // afterwards must ingest there
-                            let addrs: Vec<_> = accept_port
-                                .shard_ports
-                                .lock()
-                                .iter()
-                                .map(|&(eid, p)| rt.engine(eid).data_addr(p))
-                                .collect();
-                            conns.retain(|t| !t.is_finished());
-                            conns.push(
-                                std::thread::Builder::new()
-                                    .name(format!("dcc-rcpt-{}-conn", port2.stream))
-                                    .spawn(move || {
-                                        ingest_connection(&rt2, &port2, &entry2, &addrs, sock)
-                                    })
-                                    .expect("spawn router ingest thread"),
-                            );
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                        Err(_) => std::thread::sleep(POLL_INTERVAL),
-                    }
-                }
-                for t in conns {
-                    let _ = t.join();
-                }
+                listener.serve_each(&conn_name, |sock, _| {
+                    accept_port.connections.fetch_add(1, Ordering::AcqRel);
+                    // resolve shard addresses per connection, not per
+                    // port: promotion re-points shard_ports at the new
+                    // primary, and connections accepted afterwards must
+                    // ingest there
+                    let addrs: Vec<_> = accept_port
+                        .shard_ports
+                        .lock()
+                        .iter()
+                        .map(|&(eid, p)| rt.engine(eid).data_addr(p))
+                        .collect();
+                    ingest_connection(&rt, &accept_port, &entry, &addrs, sock)
+                })
             })
             .expect("spawn router receptor accept thread");
         self.ingress_threads.lock().push(handle);
+        self.shutdown.watch(Arc::clone(&rport.closer));
         Ok(bound)
     }
 
@@ -1012,8 +979,7 @@ impl ClusterRuntime {
             .ok_or_else(|| ServerError::Unknown(format!("query {query}")))?;
         // bind the logical port FIRST (see attach_receptor): local bind
         // failures must not leak engine-side ports or tap threads
-        let listener = TcpListener::bind((self.config.data_host.as_str(), port))?;
-        listener.set_nonblocking(true)?;
+        let listener = Listener::bind((self.config.data_host.as_str(), port))?;
         let bound = listener.local_addr()?.port();
         let relay = FrameRelay::new();
         // subscribe to each shard in the *client's* format, so merging is
@@ -1056,40 +1022,32 @@ impl ClusterRuntime {
             format,
             connections: AtomicU64::new(0),
             relay,
-            closed: Arc::new(AtomicBool::new(false)),
+            closer: listener.closer(),
             shard_ports: Mutex::new(shard_ports),
             writers: Mutex::new(Vec::new()),
         });
         self.emitters.lock().push(Arc::clone(&eport));
 
-        let rt = Arc::clone(self);
         let accept_port = Arc::clone(&eport);
         let handle = std::thread::Builder::new()
             .name(format!("dcc-emit-{query}"))
             .spawn(move || {
-                while !rt.is_stopping() && !accept_port.closed.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((sock, _peer)) => {
-                            accept_port.connections.fetch_add(1, Ordering::AcqRel);
-                            let _ = sock.set_write_timeout(Some(WRITE_TIMEOUT));
-                            let rx = accept_port.relay.subscribe();
-                            let writer = std::thread::Builder::new()
-                                .name(format!("dcc-sub-{}", accept_port.query))
-                                .spawn(move || subscriber_writer(rx, sock))
-                                .expect("spawn subscriber writer");
-                            let mut writers = accept_port.writers.lock();
-                            writers.retain(|w| !w.is_finished());
-                            writers.push(writer);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                        Err(_) => std::thread::sleep(POLL_INTERVAL),
-                    }
-                }
+                listener.serve(|sock, _peer| {
+                    accept_port.connections.fetch_add(1, Ordering::AcqRel);
+                    let _ = sock.set_write_timeout(Some(WRITE_TIMEOUT));
+                    let rx = accept_port.relay.subscribe();
+                    let writer = std::thread::Builder::new()
+                        .name(format!("dcc-sub-{}", accept_port.query))
+                        .spawn(move || subscriber_writer(rx, sock))
+                        .expect("spawn subscriber writer");
+                    let mut writers = accept_port.writers.lock();
+                    writers.retain(|w| !w.is_finished());
+                    writers.push(writer);
+                });
             })
             .expect("spawn router emitter accept thread");
         self.egress_threads.lock().push(handle);
+        self.shutdown.watch(Arc::clone(&eport.closer));
         Ok(bound)
     }
 
@@ -1110,7 +1068,7 @@ impl ClusterRuntime {
                 })?;
             receptors.remove(idx)
         };
-        rport.closed.store(true, Ordering::Release);
+        rport.closer.close();
         let mut detached = 0usize;
         for (eid, p) in rport.shard_ports.lock().clone() {
             if self.engine(eid)
@@ -1140,7 +1098,7 @@ impl ClusterRuntime {
                 })?;
             emitters.remove(idx)
         };
-        eport.closed.store(true, Ordering::Release);
+        eport.closer.close();
         let mut detached = 0usize;
         for (eid, p) in eport.shard_ports.lock().clone() {
             if self.engine(eid)
@@ -1336,8 +1294,7 @@ impl ClusterRuntime {
             .ok_or_else(|| ServerError::Unknown(format!("query {query}")))?;
         // bind the logical port FIRST (see attach_emitter): local bind
         // failures must not leak shard-side taps
-        let listener = TcpListener::bind((self.config.data_host.as_str(), 0))?;
-        listener.set_nonblocking(true)?;
+        let listener = Listener::bind((self.config.data_host.as_str(), 0))?;
         let bound = listener.local_addr()?.port();
         let relay = FrameRelay::new();
         let mut shard_socks = Vec::with_capacity(entry.engines.len());
@@ -1358,39 +1315,31 @@ impl ClusterRuntime {
         let tport = Arc::new(ClusterTracePort {
             query: query.to_string(),
             port: bound,
-            closed: Arc::new(AtomicBool::new(false)),
+            closer: listener.closer(),
             relay,
             writers: Mutex::new(Vec::new()),
         });
         self.trace_ports.lock().push(Arc::clone(&tport));
 
-        let rt = Arc::clone(self);
         let accept_port = Arc::clone(&tport);
         let handle = std::thread::Builder::new()
             .name(format!("dcc-trace-{query}"))
             .spawn(move || {
-                while !rt.is_stopping() && !accept_port.closed.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((sock, _peer)) => {
-                            let _ = sock.set_write_timeout(Some(WRITE_TIMEOUT));
-                            let rx = accept_port.relay.subscribe();
-                            let writer = std::thread::Builder::new()
-                                .name(format!("dcc-trace-sub-{}", accept_port.query))
-                                .spawn(move || subscriber_writer(rx, sock))
-                                .expect("spawn trace subscriber writer");
-                            let mut writers = accept_port.writers.lock();
-                            writers.retain(|w| !w.is_finished());
-                            writers.push(writer);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                        Err(_) => std::thread::sleep(POLL_INTERVAL),
-                    }
-                }
+                listener.serve(|sock, _peer| {
+                    let _ = sock.set_write_timeout(Some(WRITE_TIMEOUT));
+                    let rx = accept_port.relay.subscribe();
+                    let writer = std::thread::Builder::new()
+                        .name(format!("dcc-trace-sub-{}", accept_port.query))
+                        .spawn(move || subscriber_writer(rx, sock))
+                        .expect("spawn trace subscriber writer");
+                    let mut writers = accept_port.writers.lock();
+                    writers.retain(|w| !w.is_finished());
+                    writers.push(writer);
+                });
             })
             .expect("spawn router trace accept thread");
         self.egress_threads.lock().push(handle);
+        self.shutdown.watch(Arc::clone(&tport.closer));
         Ok(bound)
     }
 
@@ -1412,7 +1361,7 @@ impl ClusterRuntime {
         }
         let mut ports = self.trace_ports.lock();
         for p in ports.iter().filter(|p| p.query == query) {
-            p.closed.store(true, Ordering::Release);
+            p.closer.close();
             p.relay.close();
         }
         ports.retain(|p| p.query != query);
@@ -1569,7 +1518,7 @@ impl ClusterRuntime {
                 r.format,
                 r.connections.load(Ordering::Acquire),
                 r.accepted.load(Ordering::Acquire),
-                r.rejected.load(Ordering::Acquire),
+                r.rejected.total(),
             ));
         }
         for e in emitters.iter() {
@@ -1645,7 +1594,7 @@ impl ClusterRuntime {
         }
         // 3. shard taps see EOF and publish their final chunks (the
         //    drain flag releases taps on remote engines that never
-        //    close); emitter accept loops observe the stop flag
+        //    close)
         self.drain_taps.store(true, Ordering::Release);
         for t in std::mem::take(&mut *self.egress_threads.lock()) {
             let _ = t.join();
@@ -1665,7 +1614,6 @@ impl ClusterRuntime {
         }
         let tports: Vec<Arc<ClusterTracePort>> = self.trace_ports.lock().clone();
         for tport in &tports {
-            tport.closed.store(true, Ordering::Release);
             tport.relay.close();
         }
         for tport in &tports {
@@ -1925,7 +1873,7 @@ fn route_batch(
         },
     }
     port.accepted.fetch_add(sent, Ordering::AcqRel);
-    port.rejected.fetch_add(total - sent, Ordering::AcqRel);
+    port.rejected.add(total - sent);
     alive
 }
 
@@ -2072,7 +2020,7 @@ fn ingest_binary(
                 Ok(None) => break,
                 Err(_) => {
                     // corrupt stream: count one reject, drop the peer
-                    port.rejected.fetch_add(1, Ordering::AcqRel);
+                    port.rejected.add(1);
                     eof = true;
                     break;
                 }
@@ -2121,7 +2069,7 @@ fn ingest_binary_passthrough(
                 Ok(None) => break,
                 Err(_) => {
                     // corrupt stream: count one reject, drop the peer
-                    port.rejected.fetch_add(1, Ordering::AcqRel);
+                    port.rejected.add(1);
                     eof = true;
                     break;
                 }

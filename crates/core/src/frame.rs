@@ -918,13 +918,13 @@ mod tests {
         let wire = wire.to_vec();
         let writer = std::thread::spawn(move || peer.write_all(&wire));
         let mut batcher = net::TextBatcher::new(listener.accept().unwrap().0, schema.clone());
-        let rejected = std::sync::atomic::AtomicU64::new(0);
+        let rejected = net::Rejects::default();
         let mut rows = Relation::new(schema);
         while let Some(batch) = batcher.next_batch(&rejected, || false) {
             rows.append_relation(&batch.rows).unwrap();
         }
         writer.join().unwrap().unwrap();
-        assert_eq!(rejected.into_inner(), 0);
+        assert_eq!(rejected.total(), 0);
         rows
     }
 

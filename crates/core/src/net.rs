@@ -5,11 +5,13 @@
 //! tuples" (§3.1). Tuples travel as `|`-separated lines; NULL is the empty
 //! field. [`LineReader`] frames such lines off a socket with a length
 //! cap, and [`TextBatcher`] collects them into bounded-delay batches for
-//! every text receptor (engine, router, in-process).
+//! every text receptor (engine, router, in-process). [`Listener`] is the
+//! one accept loop behind every port the daemons listen on.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use monet::prelude::*;
@@ -102,8 +104,9 @@ pub fn decode_line(line: &[u8]) -> Option<&str> {
 }
 
 /// How long a blocking socket read waits before its caller re-checks
-/// the stop flag, and how long a text batch's first row waits at most
-/// before [`TextBatcher`] hands the batch over.
+/// the stop flag, how long a text batch's first row waits at most
+/// before [`TextBatcher`] hands the batch over, and how long an accept
+/// loop backs off after a failed `accept`.
 pub const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// [`TextBatcher`] hands a batch over once it holds this many rows.
@@ -249,6 +252,84 @@ impl LineReader {
     }
 }
 
+/// Why a text line was discarded: the `reason` label of
+/// `dc_rejected_rows_total{stream,reason}`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RejectReason {
+    /// The line is not valid UTF-8.
+    Utf8,
+    /// The line does not parse as a row of the stream's schema.
+    Parse,
+    /// The line is longer than [`MAX_LINE_LEN`].
+    TooLong,
+}
+
+impl RejectReason {
+    const ALL: [RejectReason; 3] = [
+        RejectReason::Utf8,
+        RejectReason::Parse,
+        RejectReason::TooLong,
+    ];
+
+    pub fn label(self) -> &'static str {
+        match self {
+            RejectReason::Utf8 => "utf8",
+            RejectReason::Parse => "parse",
+            RejectReason::TooLong => "too_long",
+        }
+    }
+}
+
+/// Rows one ingest port discarded: the total STATS reports as
+/// `rejected`, and for text lines one
+/// `dc_rejected_rows_total{stream,reason}` counter per [`RejectReason`]
+/// when the port was built with [`Rejects::labelled`] on enabled
+/// telemetry.
+#[derive(Default)]
+pub struct Rejects {
+    total: AtomicU64,
+    by_reason: Option<[Arc<AtomicU64>; 3]>,
+}
+
+impl Rejects {
+    /// Register the per-reason counters of `stream` on `t` (none when
+    /// telemetry is disabled).
+    pub fn labelled(t: &dctrace::Telemetry, stream: &str) -> Rejects {
+        let by_reason = t.is_enabled().then(|| {
+            RejectReason::ALL.map(|r| {
+                t.counter(
+                    "dc_rejected_rows_total",
+                    &[("stream", stream), ("reason", r.label())],
+                )
+                .expect("telemetry is enabled")
+            })
+        });
+        Rejects {
+            total: AtomicU64::new(0),
+            by_reason,
+        }
+    }
+
+    /// Count one discarded line under `reason`.
+    pub fn note(&self, reason: RejectReason) {
+        self.total.fetch_add(1, Ordering::AcqRel);
+        if let Some(by_reason) = &self.by_reason {
+            by_reason[reason as usize].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Count `n` rows discarded for no line-level reason (the basket
+    /// refused them, or a binary frame was corrupt).
+    pub fn add(&self, n: u64) {
+        self.total.fetch_add(n, Ordering::AcqRel);
+    }
+
+    /// Every row counted so far.
+    pub fn total(&self) -> u64 {
+        self.total.load(Ordering::Acquire)
+    }
+}
+
 /// One batch handed over by [`TextBatcher`].
 pub struct TextBatch {
     /// The parsed rows, in the user schema the batcher was built with.
@@ -288,17 +369,17 @@ impl TextBatcher {
 
     /// The next batch. `None` once the peer closed and every row was
     /// handed over, or when `stop` holds while the socket is idle. Each
-    /// malformed, non-UTF-8 or over-long line adds one to `rejected` as
-    /// soon as it is read.
-    pub fn next_batch(
-        &mut self,
-        rejected: &AtomicU64,
-        stop: impl Fn() -> bool,
-    ) -> Option<TextBatch> {
+    /// malformed, non-UTF-8 or over-long line is noted in `rejected`
+    /// under its reason as soon as it is read.
+    pub fn next_batch(&mut self, rejected: &Rejects, stop: impl Fn() -> bool) -> Option<TextBatch> {
         loop {
             while let Some(event) = self.lines.take_line() {
-                if !(event == LineEvent::Line && self.push_line()) {
-                    rejected.fetch_add(1, Ordering::AcqRel);
+                let pushed = match event {
+                    LineEvent::Line => self.push_line(),
+                    _ => Err(RejectReason::TooLong),
+                };
+                if let Err(reason) = pushed {
+                    rejected.note(reason);
                 }
                 if self.rows.len() >= TEXT_BATCH_ROWS {
                     return self.hand_over();
@@ -333,22 +414,19 @@ impl TextBatcher {
         }
     }
 
-    /// Parse the line just read into the batch; `false` rejects it.
-    /// Empty lines are skipped, not rejected.
-    fn push_line(&mut self) -> bool {
+    /// Parse the line just read into the batch, or say why it is
+    /// rejected. Empty lines are skipped, not rejected.
+    fn push_line(&mut self) -> std::result::Result<(), RejectReason> {
         let row = match decode_line(self.lines.line()) {
-            Some("") => return true,
-            Some(text) => match parse_row(text, &self.schema) {
-                Ok(row) => row,
-                Err(_) => return false,
-            },
-            None => return false,
+            Some("") => return Ok(()),
+            Some(text) => parse_row(text, &self.schema).map_err(|_| RejectReason::Parse)?,
+            None => return Err(RejectReason::Utf8),
         };
-        if self.rows.append_row(&row).is_err() {
-            return false;
-        }
+        self.rows
+            .append_row(&row)
+            .map_err(|_| RejectReason::Parse)?;
         self.first_row.get_or_insert(self.arrived);
-        true
+        Ok(())
     }
 
     /// Hand the open batch over (`None` if it is empty).
@@ -429,6 +507,201 @@ pub fn write_batch<W: Write>(w: &mut W, rel: &Relation) -> Result<usize> {
     w.write_all(buf.as_bytes())?;
     w.flush()?;
     Ok(rel.len())
+}
+
+/// Read one `\n`-terminated line of `r` into `line` (cleared first),
+/// refusing to buffer more than [`MAX_LINE_LEN`] bytes before the `\n`.
+/// Returns the bytes read, 0 at EOF (a line cut short by EOF is
+/// returned without its `\n`). For readers of replies from a peer
+/// that should know better: an over-long line is an `InvalidData`
+/// error, and the reader is then mid-line.
+pub fn read_line_capped<R: BufRead>(r: &mut R, line: &mut Vec<u8>) -> std::io::Result<usize> {
+    line.clear();
+    loop {
+        let buf = match r.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if buf.is_empty() {
+            return Ok(line.len());
+        }
+        let newline = buf.iter().position(|&b| b == b'\n');
+        if line.len() + newline.unwrap_or(buf.len()) > MAX_LINE_LEN {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("line longer than {MAX_LINE_LEN} bytes"),
+            ));
+        }
+        let used = newline.map_or(buf.len(), |i| i + 1);
+        line.extend_from_slice(&buf[..used]);
+        r.consume(used);
+        if newline.is_some() {
+            return Ok(line.len());
+        }
+    }
+}
+
+/// A listening port served by one blocking accept loop
+/// ([`Listener::serve`]): a connection is handed over the moment it
+/// arrives. Its [`PortCloser`] ends the loop from any thread.
+pub struct Listener {
+    inner: TcpListener,
+    closer: Arc<PortCloser>,
+}
+
+/// The close switch of one [`Listener`].
+pub struct PortCloser {
+    closed: AtomicBool,
+    /// Where the wake connection goes: the bound address, an
+    /// unspecified IP (`0.0.0.0`, `::`) replaced by loopback of its
+    /// family.
+    wake: SocketAddr,
+}
+
+/// Bound on each step of [`PortCloser::close`]: the wake connect, and
+/// the wait for the accept loop to release the port.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+impl Listener {
+    pub fn bind(addr: impl ToSocketAddrs) -> std::io::Result<Listener> {
+        let inner = TcpListener::bind(addr)?;
+        let mut wake = inner.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(if wake.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
+        let closed = AtomicBool::new(false);
+        let closer = Arc::new(PortCloser { closed, wake });
+        Ok(Listener { inner, closer })
+    }
+
+    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
+        self.inner.local_addr()
+    }
+
+    pub fn closer(&self) -> Arc<PortCloser> {
+        Arc::clone(&self.closer)
+    }
+
+    /// Accept connections and hand each to `on_conn` until the port is
+    /// closed, then release it. A failed `accept` (EMFILE,
+    /// ECONNABORTED, ...) backs off [`POLL_INTERVAL`] and retries: it
+    /// must not end the port.
+    pub fn serve(self, mut on_conn: impl FnMut(TcpStream, SocketAddr)) {
+        let wake = loop {
+            match self.inner.accept() {
+                // the wake connection, or a peer racing the close
+                Ok((sock, _)) if self.closer.is_closed() => break Some(sock),
+                Ok((sock, peer)) => on_conn(sock, peer),
+                Err(_) if self.closer.is_closed() => break None,
+                Err(_) => std::thread::sleep(POLL_INTERVAL),
+            }
+        };
+        // release the port before the closer sees its connection end
+        drop(self.inner);
+        drop(wake);
+    }
+
+    /// [`Listener::serve`] with one thread per connection, named `name`,
+    /// running `handle`. Returns once the port is closed and every
+    /// connection thread has ended.
+    pub fn serve_each<F>(self, name: &str, handle: F)
+    where
+        F: Fn(TcpStream, SocketAddr) + Sync,
+    {
+        let handle = &handle;
+        std::thread::scope(|scope| {
+            self.serve(|sock, peer| {
+                std::thread::Builder::new()
+                    .name(name.to_string())
+                    .spawn_scoped(scope, move || handle(sock, peer))
+                    .expect("spawn connection thread");
+            })
+        });
+    }
+}
+
+impl PortCloser {
+    pub fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
+    }
+
+    /// Close the port: set the flag, wake the blocked `accept` with a
+    /// self-connect, and wait until the loop has released the port, so
+    /// the same port can be bound again at once. `false` if it was
+    /// already closed.
+    pub fn close(&self) -> bool {
+        if self.closed.swap(true, Ordering::AcqRel) {
+            return false;
+        }
+        // the loop checks the flag after every accept; this connection
+        // ends (EOF, or a reset from the closed backlog) once the
+        // listener is gone
+        if let Ok(mut wake) = TcpStream::connect_timeout(&self.wake, WAKE_TIMEOUT) {
+            let _ = wake.set_read_timeout(Some(WAKE_TIMEOUT));
+            let _ = std::io::Read::read(&mut wake, &mut [0]);
+        }
+        true
+    }
+}
+
+/// One daemon's stop switch. [`Shutdown::request`] sets the flag, wakes
+/// every [`Shutdown::sleep`] and closes every listener handed to
+/// [`Shutdown::watch`]; a listener watched after that is closed at once,
+/// so no accept loop outlives a shutdown.
+#[derive(Default)]
+pub struct Shutdown {
+    requested: AtomicBool,
+    /// Listeners still to close; taken by the request.
+    listeners: Mutex<Vec<Arc<PortCloser>>>,
+    woken: Condvar,
+}
+
+impl Shutdown {
+    pub fn is_requested(&self) -> bool {
+        self.requested.load(Ordering::Acquire)
+    }
+
+    /// Request the stop (idempotent).
+    pub fn request(&self) {
+        let listeners = {
+            let mut listeners = self.listeners.lock().expect("shutdown state poisoned");
+            self.requested.store(true, Ordering::Release);
+            std::mem::take(&mut *listeners)
+        };
+        self.woken.notify_all();
+        for closer in listeners {
+            closer.close();
+        }
+    }
+
+    /// Close `closer` on the stop. Call it once the listener's accept
+    /// loop runs: closing waits for the loop (a loop not yet running
+    /// costs the closer [`WAKE_TIMEOUT`]).
+    pub fn watch(&self, closer: Arc<PortCloser>) {
+        let mut listeners = self.listeners.lock().expect("shutdown state poisoned");
+        if self.is_requested() {
+            drop(listeners);
+            closer.close();
+            return;
+        }
+        listeners.retain(|c| !c.is_closed());
+        listeners.push(closer);
+    }
+
+    /// Sleep for `d`, less if the stop is requested first; `false` once
+    /// it is.
+    pub fn sleep(&self, d: Duration) -> bool {
+        let listeners = self.listeners.lock().expect("shutdown state poisoned");
+        let _ = self
+            .woken
+            .wait_timeout_while(listeners, d, |_| !self.is_requested());
+        !self.is_requested()
+    }
 }
 
 #[cfg(test)]
@@ -582,7 +855,7 @@ mod tests {
             text.push_str("bad\n\n7");
             peer.write_all(text.as_bytes())
         });
-        let rejected = AtomicU64::new(0);
+        let rejected = Rejects::default();
         let first = batcher.next_batch(&rejected, || false).unwrap();
         assert_eq!(first.rows.len(), TEXT_BATCH_ROWS);
         let rest = batcher.next_batch(&rejected, || false).unwrap();
@@ -591,7 +864,118 @@ mod tests {
             &[TEXT_BATCH_ROWS as i64, 7]
         );
         assert!(batcher.next_batch(&rejected, || false).is_none());
-        assert_eq!(rejected.into_inner(), 1);
+        assert_eq!(rejected.total(), 1);
+    }
+
+    #[test]
+    fn batcher_labels_each_rejected_line_with_its_reason() {
+        let (mut peer, sock) = socket_pair();
+        let s = Schema::from_pairs(&[("a", ValueType::Int)]);
+        let mut batcher = TextBatcher::new(sock, s);
+        std::thread::spawn(move || {
+            let mut bytes = b"1\n\xff\nx\n".to_vec();
+            bytes.extend(vec![b'9'; MAX_LINE_LEN + 1]);
+            bytes.extend(b"\n2\n");
+            peer.write_all(&bytes)
+        });
+        let t = dctrace::Telemetry::enabled();
+        let rejected = Rejects::labelled(&t, "S");
+        let mut rows = 0;
+        while let Some(batch) = batcher.next_batch(&rejected, || false) {
+            rows += batch.rows.len();
+        }
+        assert_eq!((rows, rejected.total()), (2, 3));
+        let body = t.render();
+        for reason in ["utf8", "parse", "too_long"] {
+            let line = format!("dc_rejected_rows_total{{stream=\"S\",reason=\"{reason}\"}} 1");
+            assert!(body.contains(&line), "{line} missing from {body:?}");
+        }
+    }
+
+    #[test]
+    fn capped_line_read_refuses_an_over_long_line() {
+        let mut line = Vec::new();
+        let mut ok = &b"one\ntwo"[..];
+        assert_eq!(read_line_capped(&mut ok, &mut line).unwrap(), 4);
+        assert_eq!(read_line_capped(&mut ok, &mut line).unwrap(), 3);
+        assert_eq!(line, b"two");
+        assert_eq!(read_line_capped(&mut ok, &mut line).unwrap(), 0);
+        let mut exact = vec![b'y'; MAX_LINE_LEN];
+        exact.push(b'\n');
+        assert_eq!(
+            read_line_capped(&mut &exact[..], &mut line).unwrap(),
+            MAX_LINE_LEN + 1
+        );
+        let long = vec![b'y'; MAX_LINE_LEN + 1];
+        let err = read_line_capped(&mut &long[..], &mut line).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    /// Serve `listener` on a thread, counting the connections handed over.
+    fn serve_counting(listener: Listener) -> (std::thread::JoinHandle<()>, Arc<AtomicU64>) {
+        let served = Arc::new(AtomicU64::new(0));
+        let served2 = Arc::clone(&served);
+        let handle = std::thread::spawn(move || {
+            listener.serve(|_, _| {
+                served2.fetch_add(1, Ordering::SeqCst);
+            })
+        });
+        (handle, served)
+    }
+
+    #[test]
+    fn close_wakes_a_blocked_accept_and_releases_the_port() {
+        let listener = Listener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let closer = listener.closer();
+        let (handle, served) = serve_counting(listener);
+        drop(std::net::TcpStream::connect(addr).unwrap());
+        while served.load(Ordering::SeqCst) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(50)); // blocked in accept
+        assert!(closer.close());
+        assert!(!closer.close(), "a second close is a no-op");
+        // the wake connection is not handed over, and the port is free
+        assert_eq!(served.load(Ordering::SeqCst), 1);
+        drop(Listener::bind(addr).expect("port released"));
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn close_wakes_a_listener_on_the_unspecified_address() {
+        let listener = Listener::bind("0.0.0.0:0").unwrap();
+        let closer = listener.closer();
+        let (handle, _) = serve_counting(listener);
+        std::thread::sleep(Duration::from_millis(20));
+        closer.close();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn a_shutdown_request_wakes_sleepers_and_closes_every_listener() {
+        let shutdown = Arc::new(Shutdown::default());
+        let sleeper = {
+            let shutdown = Arc::clone(&shutdown);
+            std::thread::spawn(move || shutdown.sleep(Duration::from_secs(600)))
+        };
+        let early = Listener::bind("127.0.0.1:0").unwrap();
+        let early_closer = early.closer();
+        let (early_loop, _) = serve_counting(early);
+        shutdown.watch(Arc::clone(&early_closer));
+        shutdown.request();
+        assert!(!sleeper.join().unwrap(), "the sleep ends on the request");
+        assert!(early_closer.is_closed());
+        early_loop.join().unwrap();
+        // a listener watched after the request is closed at once
+        let late = Listener::bind("127.0.0.1:0").unwrap();
+        let late_closer = late.closer();
+        let (late_loop, served) = serve_counting(late);
+        shutdown.watch(Arc::clone(&late_closer));
+        assert!(late_closer.is_closed());
+        late_loop.join().unwrap();
+        assert_eq!(served.load(Ordering::SeqCst), 0);
+        assert!(!shutdown.sleep(Duration::from_secs(600)));
     }
 
     #[test]
@@ -613,7 +997,7 @@ mod tests {
             done2.store(true, Ordering::SeqCst);
             sent
         });
-        let rejected = AtomicU64::new(0);
+        let rejected = Rejects::default();
         let first = batcher.next_batch(&rejected, || false).unwrap();
         assert!(
             !done.load(Ordering::SeqCst),
@@ -641,10 +1025,10 @@ mod tests {
         drop(peer);
         let s = Schema::from_pairs(&[("a", ValueType::Int), ("b", ValueType::Str)]);
         let mut batcher = TextBatcher::new(sock, s);
-        let rejected = AtomicU64::new(0);
+        let rejected = Rejects::default();
         let batch = batcher.next_batch(&rejected, || false).unwrap();
         assert_eq!(batch.rows, rel);
         assert!(batcher.next_batch(&rejected, || false).is_none());
-        assert_eq!(rejected.into_inner(), 0);
+        assert_eq!(rejected.total(), 0);
     }
 }

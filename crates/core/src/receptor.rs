@@ -10,7 +10,6 @@
 
 use std::io::BufReader;
 use std::net::TcpListener;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -21,7 +20,7 @@ use crate::basket::Basket;
 use crate::clock::Clock;
 use crate::error::Result;
 use crate::frame::{read_frame, WireFormat};
-use crate::net::TextBatcher;
+use crate::net::{Rejects, TextBatcher};
 
 /// Handle to a running receptor thread.
 pub struct Receptor {
@@ -148,12 +147,12 @@ impl Receptor {
             };
             match format {
                 WireFormat::Text => {
-                    let rejected = AtomicU64::new(0);
+                    let rejected = Rejects::default();
                     let mut batcher = TextBatcher::new(stream, schema);
                     while let Some(batch) = batcher.next_batch(&rejected, || false) {
                         append(batch.rows, &mut report);
                     }
-                    report.rejected += rejected.into_inner();
+                    report.rejected += rejected.total();
                 }
                 WireFormat::Binary => {
                     let mut reader = BufReader::new(stream);

@@ -8,9 +8,8 @@
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::AtomicU64;
 
-use datacell::net::{format_row, parse_row, write_batch, TextBatcher};
+use datacell::net::{format_row, parse_row, write_batch, Rejects, TextBatcher};
 use monet::prelude::*;
 use proptest::prelude::*;
 
@@ -23,13 +22,13 @@ fn read_text(wire: &[u8], schema: &Schema) -> Relation {
     let wire = wire.to_vec();
     let writer = std::thread::spawn(move || peer.write_all(&wire));
     let mut batcher = TextBatcher::new(listener.accept().unwrap().0, schema.clone());
-    let rejected = AtomicU64::new(0);
+    let rejected = Rejects::default();
     let mut rows = Relation::new(schema);
     while let Some(batch) = batcher.next_batch(&rejected, || false) {
         rows.append_relation(&batch.rows).unwrap();
     }
     writer.join().unwrap().unwrap();
-    assert_eq!(rejected.into_inner(), 0);
+    assert_eq!(rejected.total(), 0);
     rows
 }
 

@@ -65,7 +65,7 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use datacell::frame::{self, WireFormat};
-use datacell::net::{encode_batch_text, parse_row};
+use datacell::net::{encode_batch_text, parse_row, MAX_LINE_LEN};
 use monet::prelude::*;
 
 use crate::error::{Result, ServerError};
@@ -385,6 +385,7 @@ impl Client {
             wal_from: 0,
             wal_data: Vec::new(),
         };
+        let mut in_wal = false;
         for line in &body[1..] {
             if let Some(rest) = line.strip_prefix("segment ") {
                 let file = kv(rest, "file").ok_or_else(|| bad("segment line"))?;
@@ -396,6 +397,19 @@ impl Client {
             } else if let Some(rest) = line.strip_prefix("wal ") {
                 export.wal_from = kv_num(rest, "from").ok_or_else(|| bad("wal line"))?;
                 export.wal_data = dcstore::hex_decode(kv(rest, "hex").unwrap_or(""))?;
+                in_wal = true;
+            } else if let Some(hex) = line.strip_prefix("part hex=") {
+                // the next piece of the payload the line above started
+                let data = if in_wal {
+                    &mut export.wal_data
+                } else {
+                    &mut export
+                        .segments
+                        .last_mut()
+                        .ok_or_else(|| bad("part line"))?
+                        .2
+                };
+                data.extend(dcstore::hex_decode(hex)?);
             }
         }
         Ok(export)
@@ -734,7 +748,8 @@ pub struct EmitterTap {
     /// Bytes received but not yet forming a complete frame (binary) or
     /// a complete newline-terminated line (text). Kept as raw bytes so
     /// a timeout can never land "inside" a multi-byte UTF-8 character
-    /// from the decoder's point of view.
+    /// from the decoder's point of view. A text line may not grow past
+    /// [`MAX_LINE_LEN`]; a frame is capped by its decoder.
     wire_buf: Vec<u8>,
 }
 
@@ -777,10 +792,20 @@ impl EmitterTap {
     }
 
     /// Pop the next complete, non-blank line out of `wire_buf`, if one
-    /// is fully buffered. Never touches the socket.
+    /// is fully buffered. Never touches the socket. A line longer than
+    /// [`MAX_LINE_LEN`] is an error; its bytes so far are dropped and
+    /// the stream is then mid-line if its `\n` has not arrived.
     fn take_buffered_line(&mut self) -> Result<Option<String>> {
         loop {
-            let Some(pos) = self.wire_buf.iter().position(|&b| b == b'\n') else {
+            let newline = self.wire_buf.iter().position(|&b| b == b'\n');
+            if newline.unwrap_or(self.wire_buf.len()) > MAX_LINE_LEN {
+                self.wire_buf
+                    .drain(..newline.map_or(self.wire_buf.len(), |i| i + 1));
+                return Err(ServerError::Protocol(format!(
+                    "result line longer than {MAX_LINE_LEN} bytes"
+                )));
+            }
+            let Some(pos) = newline else {
                 return Ok(None);
             };
             let raw: Vec<u8> = self.wire_buf.drain(..=pos).collect();

@@ -1,7 +1,7 @@
 //! The control-plane listener: accepts client connections, parses
 //! commands (see [`crate::protocol`]) and dispatches them onto the
-//! [`ServerRuntime`]. One thread per control connection; the accept loop
-//! polls the runtime's stop flag so `SHUTDOWN` (from any session) tears
+//! [`ServerRuntime`]. One thread per control connection; a shutdown
+//! request closes the listener, so `SHUTDOWN` (from any session) tears
 //! the whole server down gracefully.
 //!
 //! The accept/read/dispatch/respond plumbing is generic ([`serve_loop`])
@@ -9,11 +9,11 @@
 //! different dispatch table, so the two daemons share one loop.
 
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use datacell::net::{decode_line, LineEvent, LineReader, POLL_INTERVAL};
+use datacell::net::{decode_line, LineEvent, LineReader, Listener, Shutdown};
 
 use crate::error::Result;
 use crate::protocol::{parse_command, Command, Response};
@@ -26,7 +26,7 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The control-plane server.
 pub struct ControlServer {
-    listener: TcpListener,
+    listener: Listener,
     runtime: Arc<ServerRuntime>,
 }
 
@@ -34,8 +34,7 @@ impl ControlServer {
     /// Bind the control listener (e.g. `127.0.0.1:7077`, port 0 for
     /// ephemeral).
     pub fn bind(addr: &str, runtime: Arc<ServerRuntime>) -> Result<ControlServer> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let listener = Listener::bind(addr)?;
         Ok(ControlServer { listener, runtime })
     }
 
@@ -48,75 +47,46 @@ impl ControlServer {
         &self.runtime
     }
 
-    /// Serve until a `SHUTDOWN` command arrives (or the stop flag is set
-    /// externally), then tear the runtime down. Blocks the caller.
+    /// Serve until a `SHUTDOWN` command arrives (or a shutdown is
+    /// requested on the runtime), then tear the runtime down. Blocks the
+    /// caller.
     pub fn serve(self) -> Result<()> {
         let rt = &self.runtime;
-        serve_loop(
-            &self.listener,
-            &rt.sessions,
-            &|| rt.is_stopping(),
-            &|request| dispatch(rt, request),
-        );
-        self.runtime.shutdown();
+        serve_loop(self.listener, &rt.shutdown, &rt.sessions, &|request| {
+            dispatch(rt, request)
+        });
+        rt.shutdown();
         Ok(())
     }
 }
 
 /// The generic control-plane serve loop: accept connections until
-/// `is_stopping`, read one command line at a time per connection,
-/// hand it to `dispatch`, write the framed [`Response`]. Session
-/// bookkeeping (open / per-command count / close) is handled here.
-/// Connection threads are scoped, so the loop returns only after every
-/// connection wound down.
-pub fn serve_loop<S, D>(
-    listener: &TcpListener,
+/// `shutdown` is requested, read one command line at a time per
+/// connection, hand it to `dispatch`, write the framed [`Response`].
+/// Session bookkeeping (open / per-command count / close) is handled
+/// here. Returns only after every connection wound down.
+pub fn serve_loop<D>(
+    listener: Listener,
+    shutdown: &Shutdown,
     sessions: &SessionManager,
-    is_stopping: &S,
     dispatch: &D,
 ) where
-    S: Fn() -> bool + Sync,
     D: Fn(&str) -> (Response, bool) + Sync,
 {
-    std::thread::scope(|scope| {
-        let mut conns: Vec<std::thread::ScopedJoinHandle<'_, ()>> = Vec::new();
-        while !is_stopping() {
-            match listener.accept() {
-                Ok((sock, peer)) => {
-                    let peer = peer.to_string();
-                    conns.push(
-                        std::thread::Builder::new()
-                            .name("dc-control-conn".into())
-                            .spawn_scoped(scope, move || {
-                                control_connection(sessions, is_stopping, dispatch, sock, peer)
-                            })
-                            .expect("spawn control connection thread"),
-                    );
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-                Err(_) => {
-                    // transient accept failures (ECONNABORTED, EMFILE, ...)
-                    // must not take the whole daemon down — back off, retry
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-            }
-            conns.retain(|t| !t.is_finished());
-        }
-        // leaving the scope joins the remaining connection threads
+    shutdown.watch(listener.closer());
+    listener.serve_each("dc-control-conn", |sock, peer| {
+        control_connection(sessions, shutdown, dispatch, sock, peer.to_string())
     });
 }
 
 /// Serve one control connection until QUIT/SHUTDOWN/EOF/stop.
-fn control_connection<S, D>(
+fn control_connection<D>(
     sessions: &SessionManager,
-    is_stopping: &S,
+    shutdown: &Shutdown,
     dispatch: &D,
     sock: TcpStream,
     peer: String,
 ) where
-    S: Fn() -> bool,
     D: Fn(&str) -> (Response, bool),
 {
     let session = sessions.open(&peer);
@@ -139,7 +109,7 @@ fn control_connection<S, D>(
             },
             LineEvent::TooLong => (Response::Err("line too long".into()), false),
             LineEvent::Idle => {
-                if is_stopping() {
+                if shutdown.is_requested() {
                     break;
                 }
                 continue;
@@ -154,7 +124,7 @@ fn control_connection<S, D>(
         // covers a shutdown requested elsewhere while this client
         // pipelines commands back-to-back (it would never take the idle
         // branch above)
-        if end || is_stopping() {
+        if end || shutdown.is_requested() {
             break;
         }
     }

@@ -67,6 +67,7 @@
 use std::io::{BufRead, Write};
 
 use datacell::frame::WireFormat;
+use datacell::net::{decode_line, read_line_capped};
 
 /// The bytes a `REPL SEGMENT` / `REPL WAL` request ships.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -723,39 +724,37 @@ impl Response {
         w.flush()
     }
 
-    /// Decode from a reader (the client side).
+    /// Decode from a reader (the client side). Every line is capped at
+    /// [`datacell::net::MAX_LINE_LEN`] and the body grows only as lines
+    /// arrive, so a broken or hostile server gets an error, never an
+    /// unbounded allocation.
     pub fn read_from<R: BufRead>(r: &mut R) -> std::io::Result<Response> {
-        let mut line = String::new();
-        if r.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed mid-response",
-            ));
-        }
-        let line = line.trim_end_matches(['\n', '\r']);
+        let mut raw = Vec::new();
+        let mut next_line = |eof_msg: &str| -> std::io::Result<String> {
+            if read_line_capped(r, &mut raw)? == 0 {
+                return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, eof_msg));
+            }
+            decode_line(&raw).map(str::to_string).ok_or_else(|| {
+                std::io::Error::new(std::io::ErrorKind::InvalidData, "response is not valid UTF-8")
+            })
+        };
+        let line = next_line("connection closed mid-response")?;
         if let Some(msg) = line.strip_prefix("ERR ") {
             return Ok(Response::Err(msg.to_string()));
         }
         let Some(count) = line
             .strip_prefix("OK")
             .map(str::trim)
-            .and_then(|n| n.parse::<usize>().ok())
+            .and_then(|n| n.parse::<u64>().ok())
         else {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!("malformed response header {line:?}"),
             ));
         };
-        let mut body = Vec::with_capacity(count);
+        let mut body = Vec::new();
         for _ in 0..count {
-            let mut body_line = String::new();
-            if r.read_line(&mut body_line)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-body",
-                ));
-            }
-            body.push(body_line.trim_end_matches(['\n', '\r']).to_string());
+            body.push(next_line("connection closed mid-body")?);
         }
         Ok(Response::Ok(body))
     }

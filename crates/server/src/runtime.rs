@@ -5,13 +5,13 @@
 //! accepts factories dynamically as clients register queries, receptor
 //! accept loops feeding stream baskets from TCP sensors, and emitter
 //! fan-out threads delivering query results to TCP subscribers — with a
-//! single stop flag driving graceful shutdown of the whole tree.
+//! single stop switch driving graceful shutdown of the whole tree.
 
 use std::collections::HashMap;
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -19,11 +19,14 @@ use std::time::{Duration, Instant};
 use datacell::emitter::Emitter;
 use datacell::engine::{DataCell, QueryOptions};
 use datacell::frame::{decode_frame_traced, WireFormat};
-use datacell::net::{TextBatch, TextBatcher, POLL_INTERVAL};
+use datacell::net::{
+    Listener, PortCloser, Rejects, Shutdown, TextBatch, TextBatcher, POLL_INTERVAL,
+};
 use datacell::scheduler::ThreadedScheduler;
 use monet::prelude::*;
 use parking_lot::Mutex;
 
+use crate::client::REPL_PART_BYTES;
 use crate::error::{Result, ServerError};
 use crate::protocol::ReplPayload;
 use crate::session::{QueryHandle, QueryRegistry, SessionManager};
@@ -98,11 +101,11 @@ pub struct ReceptorPort {
     pub format: WireFormat,
     pub connections: AtomicU64,
     pub accepted: AtomicU64,
-    pub rejected: AtomicU64,
-    /// `DETACH RECEPTOR` flips this; the accept loop exits and releases
+    pub rejected: Rejects,
+    /// `DETACH RECEPTOR` closes this; the accept loop exits and releases
     /// the listener (established connections drain until the peer hangs
     /// up).
-    closed: Arc<AtomicBool>,
+    closer: Arc<PortCloser>,
 }
 
 /// An emitter data-plane port: accept loop + per-subscriber emitter threads.
@@ -115,9 +118,9 @@ pub struct EmitterPort {
     /// subscribers (adaptive coalescing when a socket is the bottleneck).
     pub coalesced: Arc<AtomicU64>,
     emitters: Mutex<Vec<Emitter>>,
-    /// `DETACH EMITTER` flips this; the accept loop exits and releases
+    /// `DETACH EMITTER` closes this; the accept loop exits and releases
     /// the listener (existing subscribers keep their streams).
-    closed: Arc<AtomicBool>,
+    closer: Arc<PortCloser>,
 }
 
 /// A live `TRACE QUERY <q> ON` port: an accept loop feeding each
@@ -126,7 +129,7 @@ pub struct EmitterPort {
 pub struct TracePort {
     pub query: String,
     pub port: u16,
-    closed: Arc<AtomicBool>,
+    closer: Arc<PortCloser>,
 }
 
 /// The running server: owns every supervised thread.
@@ -153,7 +156,9 @@ pub struct ServerRuntime {
     /// must not interleave between `register_query` and `take_factories`,
     /// or it would steal the other session's factory.
     registration: Mutex<()>,
-    stop: Arc<AtomicBool>,
+    /// The stop switch: closes every live listener (the control
+    /// plane's included) and wakes the snapshotter.
+    pub(crate) shutdown: Shutdown,
     started_at: Instant,
     /// The durable store behind `--data-dir` (`None` = in-memory server).
     store: Option<Arc<dcstore::Store>>,
@@ -212,7 +217,7 @@ impl ServerRuntime {
             history,
             threads: Mutex::new(Vec::new()),
             registration: Mutex::new(()),
-            stop: Arc::new(AtomicBool::new(false)),
+            shutdown: Shutdown::default(),
             started_at: Instant::now(),
             store,
             recovery,
@@ -232,19 +237,7 @@ impl ServerRuntime {
         let handle = std::thread::Builder::new()
             .name("dc-metrics".into())
             .spawn(move || {
-                let interval = rt.config.metrics_interval;
-                while !rt.is_stopping() {
-                    // sleep in small increments so shutdown is prompt even
-                    // with a long interval
-                    let mut slept = Duration::ZERO;
-                    while slept < interval && !rt.is_stopping() {
-                        let step = POLL_INTERVAL.min(interval - slept);
-                        std::thread::sleep(step);
-                        slept += step;
-                    }
-                    if rt.is_stopping() {
-                        break;
-                    }
+                while rt.shutdown.sleep(rt.config.metrics_interval) {
                     rt.capture_metrics_now();
                 }
             })
@@ -292,12 +285,8 @@ impl ServerRuntime {
         &self.engine
     }
 
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
-    }
-
     pub fn is_stopping(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
+        self.shutdown.is_requested()
     }
 
     pub fn uptime(&self) -> Duration {
@@ -413,60 +402,37 @@ impl ServerRuntime {
         if self.config.receptor_basket_cap > 0 {
             basket.set_pending_cap(self.config.receptor_basket_cap);
         }
-        let listener = TcpListener::bind((self.config.data_host.as_str(), port))?;
-        listener.set_nonblocking(true)?;
+        let listener = Listener::bind((self.config.data_host.as_str(), port))?;
         let bound = listener.local_addr()?.port();
+        let rejected = match format {
+            WireFormat::Text => Rejects::labelled(&self.telemetry, stream),
+            WireFormat::Binary => Rejects::default(),
+        };
         let rport = Arc::new(ReceptorPort {
             stream: stream.to_string(),
             port: bound,
             format,
             connections: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            closed: Arc::new(AtomicBool::new(false)),
+            rejected,
+            closer: listener.closer(),
         });
         self.receptors.lock().push(Arc::clone(&rport));
 
         let rt = Arc::clone(self);
         let accept_port = Arc::clone(&rport);
+        let conn_name = format!("dc-rcpt-{stream}-conn");
         let handle = std::thread::Builder::new()
             .name(format!("dc-rcpt-{stream}"))
             .spawn(move || {
-                let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
-                while !rt.is_stopping() && !accept_port.closed.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((sock, _peer)) => {
-                            accept_port.connections.fetch_add(1, Ordering::AcqRel);
-                            let rt2 = Arc::clone(&rt);
-                            let port2 = Arc::clone(&accept_port);
-                            let basket2 = Arc::clone(&basket);
-                            conn_threads.retain(|t| !t.is_finished());
-                            conn_threads.push(
-                                std::thread::Builder::new()
-                                    .name(format!("dc-rcpt-{}-conn", port2.stream))
-                                    .spawn(move || {
-                                        receptor_connection(&rt2, &port2, &basket2, sock)
-                                    })
-                                    .expect("spawn receptor connection thread"),
-                            );
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                        Err(_) => {
-                            // transient accept failures (ECONNABORTED,
-                            // EMFILE, ...) must not kill the port — back
-                            // off and retry
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                    }
-                }
-                for t in conn_threads {
-                    let _ = t.join();
-                }
+                listener.serve_each(&conn_name, |sock, _| {
+                    accept_port.connections.fetch_add(1, Ordering::AcqRel);
+                    receptor_connection(&rt, &accept_port, &basket, sock)
+                })
             })
             .expect("spawn receptor accept thread");
         self.threads.lock().push(handle);
+        self.shutdown.watch(Arc::clone(&rport.closer));
         Ok(bound)
     }
 
@@ -492,8 +458,7 @@ impl ServerRuntime {
                 ))
             })?
             .clone();
-        let listener = TcpListener::bind((self.config.data_host.as_str(), port))?;
-        listener.set_nonblocking(true)?;
+        let listener = Listener::bind((self.config.data_host.as_str(), port))?;
         let bound = listener.local_addr()?.port();
         let eport = Arc::new(EmitterPort {
             query: query.to_string(),
@@ -502,70 +467,59 @@ impl ServerRuntime {
             connections: AtomicU64::new(0),
             coalesced: Arc::new(AtomicU64::new(0)),
             emitters: Mutex::new(Vec::new()),
-            closed: Arc::new(AtomicBool::new(false)),
+            closer: listener.closer(),
         });
         self.emitters.lock().push(Arc::clone(&eport));
 
-        let rt = Arc::clone(self);
         let accept_port = Arc::clone(&eport);
         let probe = dctrace::EmitterProbe::new(&self.telemetry, query);
         let thread = std::thread::Builder::new()
             .name(format!("dc-emit-{query}"))
             .spawn(move || {
-                while !rt.is_stopping() && !accept_port.closed.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((sock, _peer)) => {
-                            accept_port.connections.fetch_add(1, Ordering::AcqRel);
-                            // a subscriber that stops reading must not be
-                            // able to wedge shutdown behind a full send
-                            // buffer — bound the emitter's writes
-                            let _ = sock.set_write_timeout(Some(EMITTER_WRITE_TIMEOUT));
-                            let rx = broadcast.subscribe();
-                            // shared frames: one encoding per batch per
-                            // format, shared across every subscriber;
-                            // batches queued behind a slow socket coalesce
-                            // into one frame (counted per port for STATS)
-                            let emitter = Emitter::spawn_tcp_shared_probed(
-                                format!("{}@{}", accept_port.query, accept_port.port),
-                                rx,
-                                sock,
-                                accept_port.format,
-                                Arc::clone(&accept_port.coalesced),
-                                probe.clone(),
-                            );
-                            let mut emitters = accept_port.emitters.lock();
-                            emitters.retain(|e| !e.is_finished());
-                            emitters.push(emitter);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                        Err(_) => {
-                            // transient accept failures must not kill the
-                            // port — back off and retry
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                    }
-                }
+                listener.serve(|sock, _peer| {
+                    accept_port.connections.fetch_add(1, Ordering::AcqRel);
+                    // a subscriber that stops reading must not be able to
+                    // wedge shutdown behind a full send buffer — bound the
+                    // emitter's writes
+                    let _ = sock.set_write_timeout(Some(EMITTER_WRITE_TIMEOUT));
+                    let rx = broadcast.subscribe();
+                    // shared frames: one encoding per batch per format,
+                    // shared across every subscriber; batches queued behind
+                    // a slow socket coalesce into one frame (counted per
+                    // port for STATS)
+                    let emitter = Emitter::spawn_tcp_shared_probed(
+                        format!("{}@{}", accept_port.query, accept_port.port),
+                        rx,
+                        sock,
+                        accept_port.format,
+                        Arc::clone(&accept_port.coalesced),
+                        probe.clone(),
+                    );
+                    let mut emitters = accept_port.emitters.lock();
+                    emitters.retain(|e| !e.is_finished());
+                    emitters.push(emitter);
+                });
             })
             .expect("spawn emitter accept thread");
         self.threads.lock().push(thread);
+        self.shutdown.watch(Arc::clone(&eport.closer));
         Ok(bound)
     }
 
     /// `DETACH RECEPTOR <stream> PORT <p>`: stop the port's accept loop
-    /// and release its listener. Established connections drain until the
-    /// peer hangs up. Returns how many ports matched (stream AND port).
+    /// and release its listener, so the port can be bound again at once.
+    /// Established connections drain until the peer hangs up. Returns
+    /// how many ports matched (stream AND port).
     pub fn detach_receptor(&self, stream: &str, port: u16) -> Result<usize> {
-        let mut ports = self.receptors.lock();
-        let mut n = 0;
-        for p in ports.iter() {
-            if p.stream == stream && p.port == port && !p.closed.swap(true, Ordering::AcqRel) {
-                n += 1;
-            }
-        }
-        ports.retain(|p| !(p.stream == stream && p.port == port));
-        drop(ports);
+        let detached: Vec<Arc<ReceptorPort>> = {
+            let mut ports = self.receptors.lock();
+            let (detached, kept) = std::mem::take(&mut *ports)
+                .into_iter()
+                .partition(|p| p.stream == stream && p.port == port);
+            *ports = kept;
+            detached
+        };
+        let n = detached.iter().filter(|p| p.closer.close()).count();
         if n == 0 {
             return Err(ServerError::Unknown(format!(
                 "receptor {stream} on port {port}"
@@ -579,17 +533,15 @@ impl ServerRuntime {
     /// until the query ends or they hang up. Returns how many ports
     /// matched.
     pub fn detach_emitter(&self, query: &str, port: u16) -> Result<usize> {
-        let mut ports = self.emitters.lock();
-        let mut n = 0;
-        let mut detached = Vec::new();
-        for p in ports.iter() {
-            if p.query == query && p.port == port && !p.closed.swap(true, Ordering::AcqRel) {
-                n += 1;
-                detached.push(Arc::clone(p));
-            }
-        }
-        ports.retain(|p| !(p.query == query && p.port == port));
-        drop(ports);
+        let detached: Vec<Arc<EmitterPort>> = {
+            let mut ports = self.emitters.lock();
+            let (detached, kept) = std::mem::take(&mut *ports)
+                .into_iter()
+                .partition(|p| p.query == query && p.port == port);
+            *ports = kept;
+            detached
+        };
+        let n = detached.iter().filter(|p| p.closer.close()).count();
         if n == 0 {
             return Err(ServerError::Unknown(format!(
                 "emitter {query} on port {port}"
@@ -681,7 +633,8 @@ impl ServerRuntime {
 
     /// `REPL EXPORT`: primary side of one replication round — durable
     /// state past the follower's cursor, hex-encoded for the line
-    /// protocol.
+    /// protocol. A payload longer than [`REPL_PART_BYTES`] continues on
+    /// `part hex=...` lines, so every line fits a client's line cap.
     pub fn repl_export(
         &self,
         stream: &str,
@@ -697,19 +650,16 @@ impl ServerRuntime {
             "epoch={} wal_bytes={} pending_rows={}",
             chunk.epoch, chunk.wal_bytes, chunk.pending_rows
         )];
+        let mut push_hex = |head: String, data: &[u8]| {
+            let mut pieces = data.chunks(REPL_PART_BYTES);
+            let first = pieces.next().map(dcstore::hex_encode).unwrap_or_default();
+            body.push(format!("{head} hex={first}"));
+            body.extend(pieces.map(|p| format!("part hex={}", dcstore::hex_encode(p))));
+        };
         for s in &chunk.segments {
-            body.push(format!(
-                "segment file={} rows={} hex={}",
-                s.file,
-                s.rows,
-                dcstore::hex_encode(&s.data)
-            ));
+            push_hex(format!("segment file={} rows={}", s.file, s.rows), &s.data);
         }
-        body.push(format!(
-            "wal from={} hex={}",
-            chunk.wal_from,
-            dcstore::hex_encode(&chunk.wal_data)
-        ));
+        push_hex(format!("wal from={}", chunk.wal_from), &chunk.wal_data);
         Ok(body)
     }
 
@@ -887,51 +837,28 @@ impl ServerRuntime {
             return Err(ServerError::Unknown(format!("query {query}")));
         }
         let recorder = self.recorder()?;
-        let listener = TcpListener::bind((self.config.data_host.as_str(), 0))?;
-        listener.set_nonblocking(true)?;
+        let listener = Listener::bind((self.config.data_host.as_str(), 0))?;
         let bound = listener.local_addr()?.port();
         let tport = Arc::new(TracePort {
             query: query.to_string(),
             port: bound,
-            closed: Arc::new(AtomicBool::new(false)),
+            closer: listener.closer(),
         });
         self.trace_ports.lock().push(Arc::clone(&tport));
 
-        let rt = Arc::clone(self);
         let accept_port = Arc::clone(&tport);
+        let conn_name = format!("dc-trace-{query}-conn");
         let handle = std::thread::Builder::new()
             .name(format!("dc-trace-{query}"))
             .spawn(move || {
-                let mut writers: Vec<JoinHandle<()>> = Vec::new();
-                while !rt.is_stopping() && !accept_port.closed.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((sock, _peer)) => {
-                            let _ = sock.set_write_timeout(Some(EMITTER_WRITE_TIMEOUT));
-                            let rx = recorder.subscribe(Some(accept_port.query.clone()));
-                            let rt2 = Arc::clone(&rt);
-                            let closed = Arc::clone(&accept_port.closed);
-                            writers.retain(|t| !t.is_finished());
-                            writers.push(
-                                std::thread::Builder::new()
-                                    .name(format!("dc-trace-{}-conn", accept_port.query))
-                                    .spawn(move || trace_writer(&rt2, &closed, rx, sock))
-                                    .expect("spawn trace writer thread"),
-                            );
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                        Err(_) => {
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                    }
-                }
-                for t in writers {
-                    let _ = t.join();
-                }
+                listener.serve_each(&conn_name, |sock, _| {
+                    let _ = sock.set_write_timeout(Some(EMITTER_WRITE_TIMEOUT));
+                    trace_writer(recorder.subscribe(Some(accept_port.query.clone())), sock)
+                })
             })
             .expect("spawn trace accept thread");
         self.threads.lock().push(handle);
+        self.shutdown.watch(Arc::clone(&tport.closer));
         Ok(bound)
     }
 
@@ -942,7 +869,7 @@ impl ServerRuntime {
         let recorder = self.recorder()?;
         let mut ports = self.trace_ports.lock();
         for p in ports.iter().filter(|p| p.query == query) {
-            p.closed.store(true, Ordering::Release);
+            p.closer.close();
         }
         ports.retain(|p| p.query != query);
         drop(ports);
@@ -1015,7 +942,7 @@ impl ServerRuntime {
                 r.format,
                 r.connections.load(Ordering::Acquire),
                 r.accepted.load(Ordering::Acquire),
-                r.rejected.load(Ordering::Acquire),
+                r.rejected.total(),
             ));
         }
         for e in self.emitters.lock().iter() {
@@ -1040,7 +967,7 @@ impl ServerRuntime {
     /// Request a graceful stop (idempotent; actual teardown happens in
     /// [`ServerRuntime::shutdown`]).
     pub fn request_shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
+        self.shutdown.request();
     }
 
     /// Graceful teardown, in dependency order: stop ingest, drain the
@@ -1048,13 +975,13 @@ impl ServerRuntime {
     pub fn shutdown(&self) {
         self.request_shutdown();
         // 0. close every live trace tap so their writer threads see the
-        //    channel disconnect and exit with the accept loops
+        //    channel disconnect and exit (the request above closed every
+        //    listener)
         if let Some(rec) = self.telemetry.recorder() {
             rec.close_taps(None);
         }
-        // 1. receptor accept loops + connection readers observe the flag
-        //    and flush their final batches into the baskets; emitter accept
-        //    loops stop taking subscribers
+        // 1. receptor connection readers observe the flag and flush
+        //    their final batches into the baskets
         let threads: Vec<JoinHandle<()>> = std::mem::take(&mut *self.threads.lock());
         for t in threads {
             let _ = t.join();
@@ -1089,28 +1016,13 @@ impl ServerRuntime {
 }
 
 /// Drain one flight-recorder tap onto a trace subscriber socket until
-/// the tap closes (`TRACE ... OFF` / shutdown), the subscriber hangs
-/// up, or the server stops.
-fn trace_writer(
-    rt: &ServerRuntime,
-    closed: &AtomicBool,
-    rx: std::sync::mpsc::Receiver<String>,
-    sock: TcpStream,
-) {
+/// the tap closes (`TRACE ... OFF` / shutdown) or the subscriber hangs
+/// up.
+fn trace_writer(rx: std::sync::mpsc::Receiver<String>, sock: TcpStream) {
     let mut writer = std::io::BufWriter::new(sock);
-    loop {
-        match rx.recv_timeout(POLL_INTERVAL) {
-            Ok(line) => {
-                if writeln!(writer, "{line}").is_err() || writer.flush().is_err() {
-                    break;
-                }
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                if rt.is_stopping() || closed.load(Ordering::Acquire) {
-                    break;
-                }
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+    for line in rx {
+        if writeln!(writer, "{line}").is_err() || writer.flush().is_err() {
+            break;
         }
     }
 }
@@ -1168,11 +1080,11 @@ fn receptor_connection_text(
         let appended = match basket.append_relation(rows, clock.as_ref()) {
             Ok(n) => {
                 port.accepted.fetch_add(n as u64, Ordering::AcqRel);
-                port.rejected.fetch_add(total - n as u64, Ordering::AcqRel);
+                port.rejected.add(total - n as u64);
                 n
             }
             Err(_) => {
-                port.rejected.fetch_add(total, Ordering::AcqRel);
+                port.rejected.add(total);
                 0
             }
         };
@@ -1260,12 +1172,11 @@ fn receptor_connection_binary(
                     let appended = match basket.append_relation(rel, clock.as_ref()) {
                         Ok(n) => {
                             port.accepted.fetch_add(n as u64, Ordering::AcqRel);
-                            port.rejected
-                                .fetch_add(total - n as u64, Ordering::AcqRel);
+                            port.rejected.add(total - n as u64);
                             n
                         }
                         Err(_) => {
-                            port.rejected.fetch_add(total, Ordering::AcqRel);
+                            port.rejected.add(total);
                             0
                         }
                     };
@@ -1285,7 +1196,7 @@ fn receptor_connection_binary(
                 Ok(None) => break,
                 Err(_) => {
                     // corrupt stream: count one reject, drop the peer
-                    port.rejected.fetch_add(1, Ordering::AcqRel);
+                    port.rejected.add(1);
                     eof = true;
                     break;
                 }
